@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <sstream>
 #include <string>
 
 #include "common/check.h"
 #include "common/env.h"
-#include "common/file_cache.h"
+#include "common/serialize.h"
 #include "common/metrics.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -25,14 +24,6 @@ namespace {
 std::atomic<int>& plan_override() {
   static std::atomic<int> v{-1};
   return v;
-}
-
-constexpr std::uint32_t kPlanDescVersion = 1;
-
-std::string hex64(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
 }
 
 }  // namespace
@@ -55,8 +46,6 @@ std::unique_ptr<MvmPlan> MvmPlan::compile(const TiledMatrix& tm) {
   NVM_TRACE_SPAN("puma/plan/compile");
   static metrics::Counter& m_builds = metrics::counter("plan/builds");
   static metrics::Counter& m_fused = metrics::counter("plan/fused_slots");
-  static metrics::Counter& m_hits = metrics::counter("plan/cache_hits");
-  static metrics::Counter& m_misses = metrics::counter("plan/cache_misses");
   m_builds.add();
 
   const auto& cfg = tm.model_->config();
@@ -73,8 +62,7 @@ std::unique_ptr<MvmPlan> MvmPlan::compile(const TiledMatrix& tm) {
   std::unique_ptr<MvmPlan> plan(new MvmPlan());
 
   // Lower the pipeline into the shared IR: the graph is both the plan's
-  // identity (graph_hash keys the descriptor cache) and a diagnostic
-  // artifact. Hash-consing collapses structurally identical tile slots.
+  // identity (graph_hash) and a diagnostic artifact. Hash-consing collapses structurally identical tile slots.
   nn::ir::Graph graph;
   const std::int64_t in =
       graph.intern(nn::ir::Op::kInput, {}, {tm.k_}, "x");
@@ -127,51 +115,6 @@ std::unique_ptr<MvmPlan> MvmPlan::compile(const TiledMatrix& tm) {
                          std::to_string(cfg.cols);
   seed = crc32(id.data(), id.size(), static_cast<std::uint32_t>(seed));
   plan->hash_ = graph.graph_hash(seed);
-
-  // Descriptor cache round trip. The descriptor is the linearized
-  // schedule (slot ids + precomputed ADC shifts); the fused kernels below
-  // are rebuilt from live programmed state every time — their tables ARE
-  // runtime memory, not a serializable artifact. A hit must match the
-  // live slot list exactly (a stale or colliding entry is discarded and
-  // overwritten); either way the schedule used is validated.
-  const std::string cache_name = "plan_mvm_" + hex64(plan->hash_);
-  const std::string cache_tag =
-      "v" + std::to_string(kPlanDescVersion) + ":" + hex64(plan->hash_);
-  bool cache_ok = false;
-  cache_load(cache_name, cache_tag, [&](BinaryReader& r) {
-    if (r.read_u32() != kPlanDescVersion) return;
-    if (r.read_u64() != plan->hash_) return;
-    const std::int64_t n_steps = r.read_i64();
-    if (n_steps != static_cast<std::int64_t>(plan->steps_.size())) return;
-    std::vector<std::vector<float>> shifts;
-    shifts.reserve(static_cast<std::size_t>(n_steps));
-    for (std::int64_t i = 0; i < n_steps; ++i) {
-      if (r.read_i64() != plan->steps_[static_cast<std::size_t>(i)].slot)
-        return;
-      shifts.push_back(r.read_f32_vec());
-      if (static_cast<std::int64_t>(shifts.back().size()) != streams) return;
-    }
-    // Adopt the cached shifts (identical to the recomputed ones when the
-    // entry is genuine; the checks above reject structural drift).
-    for (std::int64_t i = 0; i < n_steps; ++i)
-      plan->steps_[static_cast<std::size_t>(i)].shifts =
-          std::move(shifts[static_cast<std::size_t>(i)]);
-    cache_ok = true;
-  });
-  if (cache_ok) {
-    m_hits.add();
-  } else {
-    m_misses.add();
-    cache_store(cache_name, cache_tag, [&](BinaryWriter& w) {
-      w.write_u32(kPlanDescVersion);
-      w.write_u64(plan->hash_);
-      w.write_i64(static_cast<std::int64_t>(plan->steps_.size()));
-      for (const SlotStep& step : plan->steps_) {
-        w.write_i64(step.slot);
-        w.write_f32_vec(step.shifts);
-      }
-    });
-  }
 
   // Fuse: compile per-tile chunk kernels where the model offers them and
   // the integer chunk path is even reachable (bit-width gates; the ideal
@@ -467,8 +410,6 @@ Tensor MvmPlan::execute(const TiledMatrix& tm, const Tensor& x,
 
 std::shared_ptr<NetworkPlan> NetworkPlan::capture(nn::Network& net) {
   static metrics::Counter& m_caps = metrics::counter("plan/net_captures");
-  static metrics::Counter& m_hits = metrics::counter("plan/cache_hits");
-  static metrics::Counter& m_misses = metrics::counter("plan/cache_misses");
   nn::ir::Capture cap = nn::ir::capture(net);
   if (!cap.ok) return nullptr;
   std::uint64_t seed = 0x4e6574506c616eull;  // "NetPlan"
@@ -476,38 +417,6 @@ std::shared_ptr<NetworkPlan> NetworkPlan::capture(nn::Network& net) {
                static_cast<std::uint32_t>(seed));
   const std::uint64_t hash = cap.graph.graph_hash(seed);
   m_caps.add();
-
-  // Descriptor cache: the op/scope list keyed by graph hash. Validated
-  // node-for-node on load; layer pointers are runtime state and never
-  // serialized, so a hit only confirms the architecture was seen before.
-  const std::string cache_name = "plan_net_" + hex64(hash);
-  const std::string cache_tag =
-      "v" + std::to_string(kPlanDescVersion) + ":" + hex64(hash);
-  bool cache_ok = false;
-  cache_load(cache_name, cache_tag, [&](BinaryReader& r) {
-    if (r.read_u32() != kPlanDescVersion) return;
-    if (r.read_u64() != hash) return;
-    if (r.read_i64() != cap.graph.size()) return;
-    for (std::int64_t id = 0; id < cap.graph.size(); ++id) {
-      if (r.read_string() != nn::ir::op_name(cap.graph.node(id).op)) return;
-      if (r.read_string() != cap.graph.node(id).scope) return;
-    }
-    cache_ok = true;
-  });
-  if (cache_ok) {
-    m_hits.add();
-  } else {
-    m_misses.add();
-    cache_store(cache_name, cache_tag, [&](BinaryWriter& w) {
-      w.write_u32(kPlanDescVersion);
-      w.write_u64(hash);
-      w.write_i64(cap.graph.size());
-      for (std::int64_t id = 0; id < cap.graph.size(); ++id) {
-        w.write_string(nn::ir::op_name(cap.graph.node(id).op));
-        w.write_string(cap.graph.node(id).scope);
-      }
-    });
-  }
   return std::shared_ptr<NetworkPlan>(
       new NetworkPlan(std::move(cap), hash, net.num_classes()));
 }

@@ -20,9 +20,9 @@
 //     recording the shape cache on first execution. Networks that the IR
 //     cannot represent fall back to the eager interpreter.
 //
-// Plan descriptors are cached by graph hash in the CRC32-checksummed file
-// cache ("plan/<hex>"); a descriptor that does not match the live
-// structure (stale cache, collision) is discarded and recompiled.
+// Plans are compiled from the live TiledMatrix every time and never
+// stored in the file cache: the schedule and its ADC shift factors cost
+// less to recompute than to key on every config field they depend on.
 #pragma once
 
 #include <memory>
@@ -58,9 +58,8 @@ class ScopedPlanForTests {
 /// cluster shards share one plan per resident model).
 class MvmPlan {
  public:
-  /// Compiles the plan for `tm` (slot schedule + fused kernels +
-  /// file-cache round trip). Never fails: a model with no fused form
-  /// still gets the linearized schedule.
+  /// Compiles the plan for `tm` (slot schedule + fused kernels). Never
+  /// fails: a model with no fused form still gets the linearized schedule.
   static std::unique_ptr<MvmPlan> compile(const TiledMatrix& tm);
 
   ~MvmPlan();
