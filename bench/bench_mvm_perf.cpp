@@ -91,6 +91,47 @@ void BM_GeniexMvmBatch64(benchmark::State& state) {
 }
 BENCHMARK(BM_GeniexMvmBatch64)->Unit(benchmark::kMillisecond);
 
+void BM_GeniexMvmActive(benchmark::State& state) {
+  // The active-region calls a ResNet-20 forward makes on a 64x64 GENIEx
+  // tile (Args: rows_used, cols_used, n): conv GEMMs use a corner of the
+  // tile (K = 27..576 rows, 16..64 output channels) over 144 / 36 / 9
+  // output pixels per stage. Per-call microseconds land in the run
+  // manifest as bench/geniex/active_r<rows>_c<cols>_n<n>_us.
+  auto model = xbar::make_geniex("64x64_100k");
+  const auto& cfg = model->config();
+  auto programmed = model->program(bench_g(cfg));
+  const std::int64_t rows_used = state.range(0), cols_used = state.range(1);
+  const std::int64_t n = state.range(2);
+  Rng rng(9);
+  Tensor vb({cfg.rows, n});
+  for (std::int64_t i = 0; i < rows_used; ++i)
+    for (std::int64_t k = 0; k < n; ++k)
+      vb.at(i, k) = rng.bernoulli(0.25)
+                        ? 0.0f
+                        : static_cast<float>(rng.uniform(0, cfg.v_read));
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        programmed->mvm_multi_active(vb, rows_used, cols_used));
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  if (state.iterations() == 0) return;
+  std::ostringstream name;
+  name << "bench/geniex/active_r" << rows_used << "_c" << cols_used << "_n"
+       << n << "_us";
+  metrics::gauge(name.str())
+      .set(dt.count() * 1e6 / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_GeniexMvmActive)
+    ->Args({27, 16, 144})
+    ->Args({64, 16, 144})
+    ->Args({16, 16, 144})
+    ->Args({64, 32, 36})
+    ->Args({32, 32, 36})
+    ->Args({64, 32, 9})
+    ->Args({8, 8, 9})
+    ->Unit(benchmark::kMicrosecond);
+
 Tensor bench_vblock(const xbar::CrossbarConfig& cfg, std::int64_t n) {
   Rng rng(8);
   Tensor vb({cfg.rows, n});

@@ -48,6 +48,10 @@ SPECS = [
      "bench/multi_rhs/multi_b128_cols_per_sec", "higher", 0.35),
     ("BENCH_mvm_perf.json", "metrics",
      "bench/solver/ordering_redblack_ms", "lower", 0.60),
+    # GENIEx evaluation on a stage-1 ResNet-20 tile shape (BM_GeniexMvmActive:
+    # 64 rows x 16 columns active, 144 samples).
+    ("BENCH_mvm_perf.json", "metrics",
+     "bench/geniex/active_r64_c16_n144_us", "lower", 0.50),
     # Fused execution plans: the plan path must beat the interpreter by
     # >= 1.2x on the batched fast-noise matmul — a structural floor, not a
     # baseline comparison, so a landed fusion can never silently regress

@@ -18,10 +18,15 @@ namespace nvm::xbar {
 
 namespace {
 
+/// Column-wire distance weight of row i: the share of the column wire a
+/// current from row i travels before it reaches the sense end.
+float wire_distance(std::int64_t rows, std::int64_t i) {
+  return static_cast<float>(rows - 1 - i) / static_cast<float>(rows);
+}
+
 /// Precomputed per-programming state shared by feature assembly.
 struct ProgramStats {
   Tensor gt;       // (cols, rows)
-  Tensor gtd;      // (cols, rows), g_ij * (rows-1-i)/rows (column-wire distance)
   Tensor gsum;     // (cols)
   Tensor growsum;  // (rows)
   float garr = 0;  // normalized total conductance
@@ -29,7 +34,6 @@ struct ProgramStats {
   ProgramStats(const CrossbarConfig& cfg, const Tensor& g) {
     const std::int64_t rows = cfg.rows, cols = cfg.cols;
     gt = transpose2d(g);
-    gtd = Tensor({cols, rows});
     gsum = Tensor({cols});
     growsum = Tensor({rows});
     double total = 0.0;
@@ -39,8 +43,6 @@ struct ProgramStats {
         const float gij = g.at(i, j);
         rsum += gij;
         gsum[j] += gij;
-        gtd.at(j, i) =
-            gij * static_cast<float>(rows - 1 - i) / static_cast<float>(rows);
       }
       growsum[i] = static_cast<float>(rsum);
       total += rsum;
@@ -49,33 +51,114 @@ struct ProgramStats {
   }
 };
 
+/// Denominators of the features that scale with the programmed state.
+struct FeatureScales {
+  float i;  // ideal current
+  float g;  // column load
+  float e;  // device energy
+  float p;  // row loading
+  float w;  // wire distance
+
+  explicit FeatureScales(const CrossbarConfig& cfg) {
+    const auto rows = static_cast<float>(cfg.rows);
+    const float g_on = static_cast<float>(cfg.g_on());
+    const float v_read = static_cast<float>(cfg.v_read);
+    i = static_cast<float>(cfg.i_scale());
+    g = g_on * rows;
+    e = g_on * v_read * v_read * rows;
+    p = g_on * g_on * v_read * rows * rows;
+    w = g_on * v_read * rows;
+  }
+};
+
+/// Column position feature of column j.
+float column_position(const CrossbarConfig& cfg, std::int64_t j) {
+  const auto cols = static_cast<float>(cfg.cols);
+  return cols > 1 ? static_cast<float>(j) / (cols - 1) : 0.0f;
+}
+
 /// Fills one feature row. `iid` is the ideal current of column j.
 void fill_features(const CrossbarConfig& cfg, const ProgramStats& st,
                    std::int64_t j, float iid, float vbar, float v2bar,
                    float rbar, float e_j, float p_j, float w_j, float* out) {
-  const auto rows = static_cast<float>(cfg.rows);
-  const auto cols = static_cast<float>(cfg.cols);
-  const float g_on = static_cast<float>(cfg.g_on());
-  const float v_read = static_cast<float>(cfg.v_read);
-  const float i_scale = static_cast<float>(cfg.i_scale());
-  out[0] = iid / i_scale;
-  out[1] = st.gsum[j] / (g_on * rows);
+  const FeatureScales sc(cfg);
+  out[0] = iid / sc.i;
+  out[1] = st.gsum[j] / sc.g;
   out[2] = vbar;
   out[3] = v2bar;
-  out[4] = e_j / (g_on * v_read * v_read * rows);
-  out[5] = p_j / (g_on * g_on * v_read * rows * rows);
+  out[4] = e_j / sc.e;
+  out[5] = p_j / sc.p;
   out[6] = rbar;
-  out[7] = cols > 1 ? static_cast<float>(j) / (cols - 1) : 0.0f;
+  out[7] = column_position(cfg, j);
   out[8] = st.garr;
-  out[9] = w_j / (g_on * v_read * rows);
+  out[9] = w_j / sc.w;
 }
+
+}  // namespace
+
+/// The surrogate MLP with the structure of its ten input features folded
+/// out (fill_features lists them). Four vary per (column, sample) and come
+/// straight out of the feature GEMM: ideal current, energy, row loading,
+/// wire distance. Three vary per sample only: v-bar, v2-bar, r-bar. Three
+/// are fixed per programmed column: column load, position, array load.
+/// The normalisers of the first two groups move into their first-layer
+/// weights, so hidden unit h's pre-activation for (column j, sample k) is
+///   b1 + w_col . [load_j, pos_j, garr]      (per column, once per call)
+///      + w_smp . [sum v, sum v^2, sum v*growsum]_k  (per sample, once)
+///      + w_x . [iid, e, p, wd]_jk           (a 4-input first layer).
+struct GeniexFoldedMlp {
+  std::int64_t hidden = 0;
+  std::vector<float> w_x;    // (hidden, 4): raw iid, e, p, wd
+  std::vector<float> w_smp;  // (hidden, 3): raw sum v, sum v^2, sum v*growsum
+  std::vector<float> w_col;  // (hidden, 3): column load, position, garr
+  std::vector<float> b1;     // (hidden)
+  std::vector<float> w2;     // (hidden)
+  float b2 = 0;
+
+  GeniexFoldedMlp(const CrossbarConfig& cfg, const MlpRegressor& mlp)
+      : hidden(mlp.hidden()),
+        w_x(static_cast<std::size_t>(hidden * 4)),
+        w_smp(static_cast<std::size_t>(hidden * 3)),
+        w_col(static_cast<std::size_t>(hidden * 3)),
+        b1(mlp.b1().data().begin(), mlp.b1().data().end()),
+        w2(mlp.w2().data().begin(), mlp.w2().data().end()),
+        b2(mlp.b2()) {
+    NVM_CHECK_EQ(mlp.in_dim(), kGeniexFeatureCount);
+    const FeatureScales sc(cfg);
+    const auto rows = static_cast<float>(cfg.rows);
+    const float g_on = static_cast<float>(cfg.g_on());
+    const float v_read = static_cast<float>(cfg.v_read);
+    const float d_v = v_read * rows;
+    const float d_v2 = v_read * v_read * rows;
+    const float d_r = g_on * v_read * rows * rows;
+    for (std::int64_t h = 0; h < hidden; ++h) {
+      const float* w = mlp.w1().raw() + h * kGeniexFeatureCount;
+      float* x = w_x.data() + h * 4;
+      float* smp = w_smp.data() + h * 3;
+      float* col = w_col.data() + h * 3;
+      x[0] = w[0] / sc.i;
+      x[1] = w[4] / sc.e;
+      x[2] = w[5] / sc.p;
+      x[3] = w[9] / sc.w;
+      smp[0] = w[2] / d_v;
+      smp[1] = w[3] / d_v2;
+      smp[2] = w[6] / d_r;
+      col[0] = w[1] / sc.g;
+      col[1] = w[7];
+      col[2] = w[8];
+    }
+  }
+};
+
+namespace {
 
 class GeniexProgrammed final : public ProgrammedXbar {
  public:
-  GeniexProgrammed(const CrossbarConfig& cfg, const MlpRegressor& mlp,
+  GeniexProgrammed(const CrossbarConfig& cfg,
+                   std::shared_ptr<const GeniexFoldedMlp> mlp,
                    const GeniexGuardOptions& guard,
                    const FastNoiseModel& fallback, Tensor g)
-      : cfg_(cfg), mlp_(mlp), guard_(guard), stats_(cfg, g) {
+      : cfg_(cfg), mlp_(std::move(mlp)), guard_(guard), stats_(cfg, g) {
     // The degradation target is programmed with the same conductances up
     // front, so a mid-batch fallback never re-enters program() (which
     // keeps concurrent mvm calls allocation- and race-free).
@@ -111,10 +194,20 @@ class GeniexProgrammed final : public ProgrammedXbar {
   }
 
  private:
-  /// The blocked evaluation core behind every entry point. Runs entirely
-  /// on the calling thread; every per-sample op sequence is independent of
-  /// the block width, so any blocking of the same inputs (including n=1
-  /// single-vector mvm) produces bit-identical outputs.
+  /// The blocked evaluation core behind every entry point, in three
+  /// steps on the nvm::simd gemm kernels:
+  ///   1. features: one GEMM of the stored G^T against the stacked input
+  ///      block [v | v^2 | v*growsum_i | v*dist_i] gives the ideal-current,
+  ///      energy, row-loading and wire-distance sums of every column;
+  ///   2. the per-column and per-sample first-layer terms
+  ///      (GeniexFoldedMlp) are computed once per call;
+  ///   3. the 4-input first layer, tanh and output layer run over blocks
+  ///      of whole columns.
+  /// The sample dimension is padded to kMlpSamplePad, so every sample runs
+  /// through the kernels' vector body and each output is a pure function
+  /// of its own input vector: any blocking of the same inputs (including
+  /// n=1 single-vector mvm) gives bit-identical outputs on a given tier.
+  /// Across tiers the output is in the gemm kernels' [~ulp] class.
   Tensor eval_block(const Tensor& vb, std::int64_t rows_used,
                     std::int64_t cols_used) {
     NVM_TRACE_SPAN("xbar/geniex/mvm_batch");
@@ -122,167 +215,123 @@ class GeniexProgrammed final : public ProgrammedXbar {
     NVM_CHECK_EQ(vb.dim(0), cfg_.rows);
     NVM_CHECK(rows_used >= 1 && rows_used <= cfg_.rows);
     NVM_CHECK(cols_used >= 1 && cols_used <= cfg_.cols);
-    const std::int64_t rows = cfg_.rows, cols = cfg_.cols, n = vb.dim(1);
-    const float v_read = static_cast<float>(cfg_.v_read);
-    const float g_on = static_cast<float>(cfg_.g_on());
+    const std::int64_t rows = cfg_.rows, n = vb.dim(1);
+    const std::int64_t np =
+        (n + kMlpSamplePad - 1) / kMlpSamplePad * kMlpSamplePad;
+    const std::int64_t ldx = 4 * np;  // stacked input row: 4 segments
+    const std::int64_t hidden = mlp_->hidden;
     const float i_scale = static_cast<float>(cfg_.i_scale());
 
     // All per-call scratch lives in a per-thread workspace: one tiled
     // matmul evaluates thousands of chunk blocks, and the reused buffers
     // keep this path allocation-free after warm-up.
     thread_local simd::Workspace ws;
-    const auto sz = [n](std::int64_t r) {
-      return static_cast<std::size_t>(r * n);
+    const auto scratch = [](int slot, std::int64_t size) {
+      return ws.floats(slot, static_cast<std::size_t>(size)).data();
     };
 
-    // Elementwise input transforms (rows beyond rows_used are zero volts,
-    // contributing exactly nothing to any sum below).
-    std::span<float> vv = ws.floats(0, sz(rows_used));
-    std::span<float> vr = ws.floats(1, sz(rows_used));
-    const float* pvb = vb.raw();
-    {
-      float* pvv = vv.data();
-      float* pvr = vr.data();
-      for (std::int64_t i = 0; i < rows_used; ++i) {
-        const float gr = stats_.growsum[i];
-        const float* src = pvb + i * n;
-        float* dv = pvv + i * n;
-        float* dr = pvr + i * n;
-        for (std::int64_t k = 0; k < n; ++k) {
-          dv[k] = src[k] * src[k];
-          dr[k] = src[k] * gr;
-        }
-      }
+    // Stacked input block (rows_used x 4 segments of np). Rows beyond
+    // rows_used are zero volts and would add nothing to any sum; padding
+    // samples are zero.
+    float* xs = scratch(0, rows_used * ldx);
+    for (std::int64_t i = 0; i < rows_used; ++i) {
+      const float* v = vb.raw() + i * n;
+      float* d = xs + i * ldx;
+      std::copy(v, v + n, d);
+      for (std::int64_t k = 0; k < n; ++k) d[np + k] = v[k] * v[k];
+      simd::scale(d + 2 * np, v, stats_.growsum[i], n);
+      simd::scale(d + 3 * np, v, wire_distance(rows, i), n);
+      for (std::int64_t f = 0; f < 4; ++f)
+        std::fill(d + f * np + n, d + (f + 1) * np, 0.0f);
     }
 
-    // Fused feature GEMMs over the active region.
-    std::span<float> iid = ws.floats(2, sz(cols_used));
-    std::span<float> e = ws.floats(3, sz(cols_used));
-    std::span<float> p = ws.floats(4, sz(cols_used));
-    std::span<float> wd = ws.floats(5, sz(cols_used));
-    std::fill(iid.begin(), iid.end(), 0.0f);
-    std::fill(e.begin(), e.end(), 0.0f);
-    std::fill(p.begin(), p.end(), 0.0f);
-    std::fill(wd.begin(), wd.end(), 0.0f);
-    {
-      const float* pgt = stats_.gt.raw();    // (cols, rows)
-      const float* pgtd = stats_.gtd.raw();  // (cols, rows)
-      const float* pvv = vv.data();
-      const float* pvr = vr.data();
-      for (std::int64_t j = 0; j < cols_used; ++j) {
-        float* oi = iid.data() + j * n;
-        float* oe = e.data() + j * n;
-        float* op = p.data() + j * n;
-        float* ow = wd.data() + j * n;
-        const float* grow = pgt + j * rows;
-        const float* gdrow = pgtd + j * rows;
-        for (std::int64_t i = 0; i < rows_used; ++i) {
-          const float g = grow[i];
-          const float gd = gdrow[i];
-          if (g == 0.0f && gd == 0.0f) continue;
-          const float* xb = pvb + i * n;
-          const float* xv = pvv + i * n;
-          const float* xr = pvr + i * n;
-          for (std::int64_t k = 0; k < n; ++k) {
-            oi[k] += g * xb[k];
-            oe[k] += g * xv[k];
-            op[k] += g * xr[k];
-            ow[k] += gd * xb[k];
-          }
-        }
-      }
-    }
+    // Per-sample term (hidden x np): the column sums of the first three
+    // segments (a row of ones against the block), then w_smp.
+    float* ones = scratch(1, rows_used);
+    std::fill(ones, ones + rows_used, 1.0f);
+    float* sums = scratch(2, 3 * np);
+    std::fill(sums, sums + 3 * np, 0.0f);
+    simd::gemm_accum(sums, ones, xs, 1, 3 * np, rows_used, rows_used, ldx,
+                     3 * np);
+    float* smp = scratch(3, hidden * np);
+    std::fill(smp, smp + hidden * np, 0.0f);
+    simd::gemm_accum(smp, mlp_->w_smp.data(), sums, hidden, np, 3, 3, np, np);
 
-    // Per-input-vector scalars.
-    std::span<float> vbar = ws.floats(6, static_cast<std::size_t>(n));
-    std::span<float> v2bar = ws.floats(7, static_cast<std::size_t>(n));
-    std::span<float> rbar = ws.floats(8, static_cast<std::size_t>(n));
-    std::fill(vbar.begin(), vbar.end(), 0.0f);
-    std::fill(v2bar.begin(), v2bar.end(), 0.0f);
-    std::fill(rbar.begin(), rbar.end(), 0.0f);
-    {
-      const float* pvv = vv.data();
-      const float* pvr = vr.data();
-      for (std::int64_t i = 0; i < rows_used; ++i) {
-        const float* xb = pvb + i * n;
-        const float* xv = pvv + i * n;
-        const float* xr = pvr + i * n;
-        for (std::int64_t k = 0; k < n; ++k) {
-          vbar[static_cast<std::size_t>(k)] += xb[k];
-          v2bar[static_cast<std::size_t>(k)] += xv[k];
-          rbar[static_cast<std::size_t>(k)] += xr[k];
-        }
-      }
-      const float nv = 1.0f / (v_read * rows);
-      const float nv2 = 1.0f / (v_read * v_read * rows);
-      const float nr = 1.0f / (g_on * v_read * rows * rows);
-      for (std::int64_t k = 0; k < n; ++k) {
-        vbar[static_cast<std::size_t>(k)] *= nv;
-        v2bar[static_cast<std::size_t>(k)] *= nv2;
-        rbar[static_cast<std::size_t>(k)] *= nr;
-      }
-    }
-
-    Tensor out({cols, n});
-    const float rel_floor = kGeniexRelFloor * i_scale;
-    std::vector<std::uint8_t> out_of_envelope(static_cast<std::size_t>(n), 0);
+    // Columns go through steps 1 and 3 in blocks of cb, sized so the hidden
+    // activations stay cache-resident; a multiple of 4 keeps the feature
+    // GEMM on full microtiles. Each column's feature row carries a fifth
+    // segment of ones, which applies its constant term inside the
+    // first-layer GEMM.
+    constexpr std::int64_t kBlockSamples = 2048;
+    const std::int64_t cb = std::min(
+        cols_used, std::max<std::int64_t>(4, kBlockSamples / np / 4 * 4));
+    const std::int64_t ldf = 5 * np;
+    float* feat = scratch(4, cb * ldf);
+    for (std::int64_t jj = 0; jj < cb; ++jj)
+      std::fill(feat + jj * ldf + 4 * np, feat + (jj + 1) * ldf, 1.0f);
+    float* w1 = scratch(5, cb * hidden * 5);   // per column: [w_x | c_j]
+    float* hid = scratch(6, cb * hidden * np);  // per column: hidden x np
+    float* rel = scratch(7, cb * np);
+    std::span<std::int8_t> flagged = ws.i8s(0, static_cast<std::size_t>(n));
+    std::fill(flagged.begin(), flagged.end(), std::int8_t{0});
     bool any_fallback = false;
-    // Feature-major block (feature f of sample k at ft[f*n + k]) feeding
-    // the batched MLP forward. Denominators are the exact float
-    // expressions of fill_features, applied per sample, so each sample's
-    // feature values match the looped path bit-for-bit — and
-    // predict_block is batch-width-invariant (mlp.h), so the prediction
-    // does too under whichever simd tier is active.
-    std::span<float> ft =
-        ws.floats(9, static_cast<std::size_t>(kGeniexFeatureCount * n));
-    std::span<float> rel = ws.floats(10, static_cast<std::size_t>(n));
-    const float rows_f = static_cast<float>(cfg_.rows);
-    const float cols_f = static_cast<float>(cfg_.cols);
-    const float d_e = g_on * v_read * v_read * rows_f;
-    const float d_p = g_on * g_on * v_read * rows_f * rows_f;
-    const float d_w = g_on * v_read * rows_f;
-    const float d_g = g_on * rows_f;
-    for (std::int64_t j = 0; j < cols_used; ++j) {
-      const float* ji = iid.data() + j * n;
-      const float* je = e.data() + j * n;
-      const float* jp = p.data() + j * n;
-      const float* jw = wd.data() + j * n;
-      float* jo = out.raw() + j * n;
-      float* F = ft.data();
-      const float f_gsum = stats_.gsum[j] / d_g;
-      const float f_pos =
-          cols_f > 1 ? static_cast<float>(j) / (cols_f - 1) : 0.0f;
-      for (std::int64_t k = 0; k < n; ++k) {
-        F[0 * n + k] = ji[k] / i_scale;
-        F[4 * n + k] = je[k] / d_e;
-        F[5 * n + k] = jp[k] / d_p;
-        F[9 * n + k] = jw[k] / d_w;
-        F[1 * n + k] = f_gsum;
-        F[7 * n + k] = f_pos;
-        F[8 * n + k] = stats_.garr;
-      }
-      std::copy(vbar.begin(), vbar.end(), F + 2 * n);
-      std::copy(v2bar.begin(), v2bar.end(), F + 3 * n);
-      std::copy(rbar.begin(), rbar.end(), F + 6 * n);
-      mlp_.predict_block(F, n, rel.data());
-      for (std::int64_t k = 0; k < n; ++k) {
-        const float r = rel[static_cast<std::size_t>(k)];
-        if (guard_.enabled && (!std::isfinite(r) || r < guard_.rel_min ||
-                               r > guard_.rel_max)) {
-          // Out-of-envelope deviation: the surrogate is off its training
-          // distribution for this input. Its whole column set for sample k
-          // is distrusted and re-evaluated on the fallback model below.
-          out_of_envelope[static_cast<std::size_t>(k)] = 1;
-          any_fallback = true;
+    const float rel_floor = kGeniexRelFloor * i_scale;
+    Tensor out({cfg_.cols, n});
+    for (std::int64_t j0 = 0; j0 < cols_used; j0 += cb) {
+      const std::int64_t m = std::min(cb, cols_used - j0);
+      // Step 1: feature row [iid | e | p | wd] of each column in the block.
+      for (std::int64_t jj = 0; jj < m; ++jj)
+        std::fill(feat + jj * ldf, feat + jj * ldf + ldx, 0.0f);
+      simd::gemm_accum(feat, stats_.gt.raw() + j0 * rows, xs, m, ldx,
+                       rows_used, rows, ldx, ldf);
+      // Step 3: hid_j = per-sample term + [w_x | c_j] * [features; ones].
+      for (std::int64_t jj = 0; jj < m; ++jj) {
+        const std::int64_t j = j0 + jj;
+        const float load = stats_.gsum[j];
+        const float pos = column_position(cfg_, j);
+        float* a = w1 + jj * hidden * 5;
+        for (std::int64_t h = 0; h < hidden; ++h) {
+          const float* wc = mlp_->w_col.data() + h * 3;
+          std::copy(mlp_->w_x.data() + h * 4, mlp_->w_x.data() + h * 4 + 4,
+                    a + h * 5);
+          a[h * 5 + 4] = mlp_->b1[static_cast<std::size_t>(h)] +
+                         wc[0] * load + wc[1] * pos + wc[2] * stats_.garr;
         }
-        const float denom = std::max(ji[k], rel_floor);
-        // Physical clamp: column current is non-negative and bounded by
-        // the full-scale current.
-        jo[k] = std::clamp(ji[k] - r * denom, 0.0f, i_scale);
+        float* hj = hid + jj * hidden * np;
+        std::copy(smp, smp + hidden * np, hj);
+        simd::gemm_accum(hj, a, feat + jj * ldf, hidden, np, 5, 5, np, np);
+      }
+      simd::tanh_block(hid, m * hidden * np);
+      std::fill(rel, rel + m * np, mlp_->b2);
+      for (std::int64_t jj = 0; jj < m; ++jj)
+        simd::gemm_accum(rel + jj * np, mlp_->w2.data(),
+                         hid + jj * hidden * np, 1, np, hidden, hidden, np,
+                         np);
+
+      for (std::int64_t jj = 0; jj < m; ++jj) {
+        const float* iid = feat + jj * ldf;
+        const float* rj = rel + jj * np;
+        float* o = out.raw() + (j0 + jj) * n;
+        for (std::int64_t k = 0; k < n; ++k) {
+          const float r = rj[k];
+          if (guard_.enabled && (!std::isfinite(r) || r < guard_.rel_min ||
+                                 r > guard_.rel_max)) {
+            // Out-of-envelope deviation: the surrogate is off its training
+            // distribution for this input. Its whole column set for
+            // sample k is distrusted and re-evaluated on the fallback
+            // model below.
+            flagged[static_cast<std::size_t>(k)] = 1;
+            any_fallback = true;
+          }
+          const float denom = std::max(iid[k], rel_floor);
+          // Physical clamp: column current is non-negative and bounded by
+          // the full-scale current.
+          o[k] = std::clamp(iid[k] - r * denom, 0.0f, i_scale);
+        }
       }
     }
-    if (any_fallback) degrade_to_fallback(vb, out_of_envelope, cols_used, out);
-    guard_output_finite(out, "geniex");
+    if (any_fallback) degrade_to_fallback(vb, flagged, cols_used, out);
+    guard_output_finite(out.raw(), cols_used * n, "geniex");
     static metrics::Counter& preds = metrics::counter("xbar/geniex/predictions");
     preds.add(static_cast<std::uint64_t>(cols_used * n));
     return out;
@@ -292,7 +341,7 @@ class GeniexProgrammed final : public ProgrammedXbar {
   /// Replaces the output columns of every flagged sample with the
   /// fast-noise model's prediction (counted + logged, never a crash).
   void degrade_to_fallback(const Tensor& vb,
-                           const std::vector<std::uint8_t>& flagged,
+                           std::span<const std::int8_t> flagged,
                            std::int64_t cols_used, Tensor& out) {
     const std::int64_t rows = cfg_.rows, n = vb.dim(1);
     std::uint64_t dropped = 0;
@@ -313,7 +362,7 @@ class GeniexProgrammed final : public ProgrammedXbar {
   }
 
   const CrossbarConfig& cfg_;
-  const MlpRegressor& mlp_;
+  std::shared_ptr<const GeniexFoldedMlp> mlp_;
   GeniexGuardOptions guard_;
   std::unique_ptr<ProgrammedXbar> fallback_xbar_;
   ProgramStats stats_;
@@ -348,7 +397,10 @@ Tensor geniex_features(const CrossbarConfig& cfg, const Tensor& g,
       const float gij = st.gt.at(j, i);
       ej += static_cast<double>(gij) * v[i] * v[i];
       pj += static_cast<double>(gij) * v[i] * st.growsum[i];
-      wj += static_cast<double>(st.gtd.at(j, i)) * v[i];
+      // Wire-distance weight with the training features' own rounding.
+      const float gd = gij * static_cast<float>(rows - 1 - i) /
+                       static_cast<float>(rows);
+      wj += static_cast<double>(gd) * v[i];
     }
     e[j] = static_cast<float>(ej);
     p[j] = static_cast<float>(pj);
@@ -419,8 +471,8 @@ GeniexModel::GeniexModel(CrossbarConfig cfg, MlpRegressor mlp,
     : cfg_(std::move(cfg)),
       mlp_(std::move(mlp)),
       guard_(guard),
-      fallback_(cfg_) {
-  NVM_CHECK_EQ(mlp_.in_dim(), kGeniexFeatureCount);
+      fallback_(cfg_),
+      folded_(std::make_shared<const GeniexFoldedMlp>(cfg_, mlp_)) {
   NVM_CHECK(guard_.rel_min < guard_.rel_max);
 }
 
@@ -506,7 +558,8 @@ GeniexModel GeniexModel::load_or_train(const CrossbarConfig& cfg,
 
 std::unique_ptr<ProgrammedXbar> GeniexModel::program(const Tensor& g) const {
   validate_conductances(g, cfg_);
-  return std::make_unique<GeniexProgrammed>(cfg_, mlp_, guard_, fallback_, g);
+  return std::make_unique<GeniexProgrammed>(cfg_, folded_, guard_, fallback_,
+                                            g);
 }
 
 }  // namespace nvm::xbar

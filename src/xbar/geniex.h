@@ -60,6 +60,11 @@ struct GeniexGuardOptions {
   float rel_max = 1.5f;   ///< above: claims more than total current loss
 };
 
+/// The surrogate MLP rearranged for crossbar evaluation: normalisers
+/// folded into the first-layer weights, input-independent features split
+/// off (defined in geniex.cpp).
+struct GeniexFoldedMlp;
+
 class GeniexModel final : public MvmModel {
  public:
   GeniexModel(CrossbarConfig cfg, MlpRegressor mlp,
@@ -87,6 +92,7 @@ class GeniexModel final : public MvmModel {
   MlpRegressor mlp_;
   GeniexGuardOptions guard_;
   FastNoiseModel fallback_;  ///< degradation target for out-of-envelope MVMs
+  std::shared_ptr<const GeniexFoldedMlp> folded_;  ///< derived from mlp_
 };
 
 /// Assembles the per-column feature matrix (cols x kGeniexFeatureCount)

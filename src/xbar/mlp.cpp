@@ -65,11 +65,11 @@ void MlpRegressor::predict_block(const float* features_t, std::int64_t n,
   // columns with an unfused scalar tail, so without padding a sample's
   // result would depend on its position within the block and therefore on
   // the batch width n. With every real column inside the vector FMA body,
-  // out[s] is invariant to n — the batch-invariance GENIEx's mvm paths
-  // are pinned to — and the vector tiers agree bit-for-bit with each
+  // out[s] is invariant to n (GENIEx's evaluation pads the same way for
+  // the same reason) and the vector tiers agree bit-for-bit with each
   // other (per column the FMA chain is lane-width-independent); only the
   // scalar tier differs, by the documented gemm [~ulp] bound.
-  constexpr std::int64_t kPad = 16;
+  constexpr std::int64_t kPad = kMlpSamplePad;
   const std::int64_t np = (n + kPad - 1) / kPad * kPad;
   const float* w1 = w1_.raw();
   simd::WorkspacePool::Lease lease = simd::shared_workspace_pool().acquire();

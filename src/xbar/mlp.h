@@ -30,6 +30,11 @@ struct MlpTrainOptions {
   std::uint64_t seed = 7;
 };
 
+/// predict_block pads the sample dimension to a multiple of this (one
+/// AVX-512 vector, a whole number of AVX2/NEON vectors), so every sample
+/// runs through the gemm kernels' vector body whatever the batch width.
+inline constexpr std::int64_t kMlpSamplePad = 16;
+
 class MlpRegressor {
  public:
   /// Xavier-initialized in_dim -> hidden(tanh) -> 1 network.
@@ -41,6 +46,10 @@ class MlpRegressor {
 
   std::int64_t in_dim() const { return in_dim_; }
   std::int64_t hidden() const { return hidden_; }
+  const Tensor& w1() const { return w1_; }  ///< (hidden, in_dim)
+  const Tensor& b1() const { return b1_; }  ///< (hidden)
+  const Tensor& w2() const { return w2_; }  ///< (hidden)
+  float b2() const { return b2_[0]; }
 
   /// Predicts a single value from `in_dim` features. Delegates to
   /// predict_block with n = 1, so single and batched predictions are one
@@ -50,10 +59,10 @@ class MlpRegressor {
   /// Batched predict over `n` samples laid out FEATURE-MAJOR:
   /// features_t[i * n + s] is feature i of sample s. Writes one prediction
   /// per sample into out[0..n). Runs on the widest usable nvm::simd gemm
-  /// tier; samples are staged into a 16-column-padded block so every
+  /// tier; samples are staged into a kMlpSamplePad-padded block so every
   /// sample's accumulation takes the vector FMA body regardless of n —
   /// each out[s] is a pure function of sample s's features, independent of
-  /// batch width (the GENIEx batch-invariance requirement). Across simd
+  /// batch width. Across simd
   /// tiers the result carries the gemm kernels' [~ulp] parity contract
   /// (vector tiers agree bit-for-bit; the scalar tier differs by a few
   /// ULP because its multiply-adds are unfused).

@@ -3,9 +3,13 @@
 
 #include "common/check.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/health.h"
+#include "common/simd.h"
 #include "xbar/fast_noise.h"
 #include "xbar/geniex.h"
 #include "xbar/nf.h"
@@ -154,6 +158,65 @@ TEST(Geniex, ActiveRegionMatchesFullWhenPadded) {
   for (std::int64_t j = 0; j < 12; ++j)
     for (std::int64_t k = 0; k < 3; ++k)
       EXPECT_NEAR(full.at(j, k), active.at(j, k), 1e-7f * cfg.i_scale());
+}
+
+std::vector<simd::Isa> usable_isas() {
+  std::vector<simd::Isa> isas{simd::Isa::Scalar};
+  for (simd::Isa isa : {simd::Isa::Avx2, simd::Isa::Avx512, simd::Isa::Neon})
+    if (simd::isa_usable(isa)) isas.push_back(isa);
+  return isas;
+}
+
+TEST(Geniex, FoldedEvaluationMatchesFeatureReference) {
+  // The crossbar evaluation computes the features with one GEMM and runs a
+  // first layer with the input-independent features folded out. The
+  // reference assembles the ten features one input vector at a time
+  // (double accumulation), runs MlpRegressor::predict and applies the same
+  // clamp. The two differ only in float rounding order, the gemm kernels'
+  // [~ulp] class: measured below 5e-8 of i_scale on every tier; the bound
+  // leaves 20x.
+  constexpr double kTol = 1e-6;
+  CrossbarConfig cfg = small_config();
+  const MlpRegressor& mlp = shared_fit().mlp;
+  GeniexModel model(cfg, mlp);
+  Rng rng(24);
+  Tensor g = sample_conductances(cfg, rng);
+  auto programmed = model.program(g);
+  const float i_scale = static_cast<float>(cfg.i_scale());
+  const auto fallbacks = health_value(HealthCounter::SurrogateFallback);
+  const std::pair<std::int64_t, std::int64_t> regions[] = {
+      {cfg.rows, cfg.cols}, {cfg.rows - 5, cfg.cols - 3}, {7, 5}};
+  for (const auto& [rows_used, cols_used] : regions) {
+    for (const std::int64_t n : {1, 9, 16, 36, 144}) {
+      Tensor vb({cfg.rows, n});
+      Tensor want({cols_used, n});
+      for (std::int64_t k = 0; k < n; ++k) {
+        Tensor v = sample_voltages(cfg, rng);
+        for (std::int64_t i = rows_used; i < cfg.rows; ++i) v[i] = 0.0f;
+        for (std::int64_t i = 0; i < cfg.rows; ++i) vb.at(i, k) = v[i];
+        const Tensor f = geniex_features(cfg, g, v);
+        const Tensor iid = ideal_mvm(g, v);
+        for (std::int64_t j = 0; j < cols_used; ++j) {
+          const float r = mlp.predict(
+              {f.raw() + j * kGeniexFeatureCount, kGeniexFeatureCount});
+          const float denom = std::max(iid[j], kGeniexRelFloor * i_scale);
+          want.at(j, k) = std::clamp(iid[j] - r * denom, 0.0f, i_scale);
+        }
+      }
+      for (simd::Isa isa : usable_isas()) {
+        simd::ScopedIsaForTests scope(isa);
+        Tensor got = programmed->mvm_multi_active(vb, rows_used, cols_used);
+        for (std::int64_t j = 0; j < cols_used; ++j)
+          for (std::int64_t k = 0; k < n; ++k)
+            ASSERT_NEAR(got.at(j, k), want.at(j, k), kTol * i_scale)
+                << "isa=" << simd::isa_name(isa) << " rows_used=" << rows_used
+                << " cols_used=" << cols_used << " n=" << n << " col=" << j
+                << " sample=" << k;
+      }
+    }
+  }
+  // Like for like: no sample took the fast-noise fallback.
+  EXPECT_EQ(health_value(HealthCounter::SurrogateFallback), fallbacks);
 }
 
 TEST(Geniex, OutputsPhysicallyClamped) {
