@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge check: tier-1 build + tests, then the same suite under
 # ASan+UBSan (catches the memory/UB class of failures the fault-injection
-# and failure-handling paths are designed to survive).
+# and failure-handling paths are designed to survive), then the concurrent
+# suites under TSan. --skip-sanitize skips both sanitizer builds.
 #
 # Usage: scripts/check.sh [--skip-sanitize]
 set -euo pipefail
@@ -328,5 +329,18 @@ if command -v python3 >/dev/null 2>&1; then
     ./build-asan/examples/nvmrobust_cli quickstart >/dev/null
   python3 scripts/perf_gate.py --validate-trace "$TRACE_OUT"
 fi
+
+# Concurrency under ThreadSanitizer: the suites that drive the thread pool,
+# the parallel tiled matmul and its plans, the serving scheduler and
+# cluster, telemetry rings, trace spans and the fleet simulator. Only those
+# test binaries are built in the tsan tree; ctest fails on any reported
+# race (TSan exits nonzero) or if the filter matches nothing.
+echo "== sanitizer: concurrent suites under TSan =="
+cmake --preset tsan >/dev/null
+cmake --build --preset tsan -j "$JOBS" --target test_thread_pool test_simd \
+  test_ir_plan test_serve test_serve_cluster test_telemetry test_metrics \
+  test_fleet
+ctest --test-dir build-tsan --output-on-failure -j "$JOBS" --no-tests=error \
+  -R '^(ThreadPool|TiledMatmul|PlanTest|Serve|ServeCluster|TelemetryTest|Trace|FleetChip|FleetSim|Scheduler|Sla)\.'
 
 echo "== all checks passed =="

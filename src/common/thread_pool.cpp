@@ -65,10 +65,12 @@ struct JoinContext {
         if (!error) error = std::current_exception();
       }
     }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mu);
+    // Decrement under the lock: the submitter reads `remaining` under the
+    // same lock and destroys this object as soon as it sees zero, so the
+    // last worker must be done with `mu` and `done` by then.
+    std::lock_guard<std::mutex> lock(mu);
+    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
       done.notify_all();
-    }
   }
 };
 

@@ -224,13 +224,16 @@ TEST(Serve, QueuedRequestTimesOut) {
   serve::ServeOptions opt;
   opt.max_batch = 1;
   opt.flush_us = 0;
-  opt.timeout_us = 1000;
+  // Long enough that `a` is always dispatched before it could expire (with
+  // 1 ms, a slow scheduler start, e.g. under TSan, timed `a` out instead,
+  // and wait_for_batches(1) never returned).
+  opt.timeout_us = 100000;
   serve::Server server(backend, opt);
 
   auto a = server.submit(Tensor({4}));
   backend.wait_for_batches(1);
   auto b = server.submit(Tensor({4}));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // >> timeout
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // >> timeout
   backend.open();
 
   EXPECT_EQ(a.get().status, serve::ReplyStatus::Ok);

@@ -190,5 +190,18 @@ TEST(ThreadPool, ManyRoundsStayConsistent) {
   }
 }
 
+TEST(ThreadPool, JoinStateOutlivesTheLastWorker) {
+  // Regression: the last worker to finish decremented the join counter
+  // and only then locked the join mutex to notify, so a submitter that saw
+  // the counter at zero could return and destroy the join state first.
+  // Tiny regions make that window likely; ThreadSanitizer (the check.sh
+  // tsan leg) reports the use of the destroyed mutex.
+  ThreadPool pool(4);
+  std::atomic<std::int64_t> sum{0};
+  for (int round = 0; round < 20000; ++round)
+    pool.parallel_for(2, [&](std::int64_t i) { sum += i; });
+  EXPECT_EQ(sum.load(), 20000);
+}
+
 }  // namespace
 }  // namespace nvm
