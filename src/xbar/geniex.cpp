@@ -221,6 +221,8 @@ class GeniexProgrammed final : public ProgrammedXbar {
     const std::int64_t ldx = 4 * np;  // stacked input row: 4 segments
     const std::int64_t hidden = mlp_->hidden;
     const float i_scale = static_cast<float>(cfg_.i_scale());
+    Tensor out({cfg_.cols, n});
+    if (n == 0) return out;
 
     // All per-call scratch lives in a per-thread workspace: one tiled
     // matmul evaluates thousands of chunk blocks, and the reused buffers
@@ -245,7 +247,7 @@ class GeniexProgrammed final : public ProgrammedXbar {
         std::fill(d + f * np + n, d + (f + 1) * np, 0.0f);
     }
 
-    // Per-sample term (hidden x np): the column sums of the first three
+    // Step 2, per sample (hidden x np): the column sums of the first three
     // segments (a row of ones against the block), then w_smp.
     float* ones = scratch(1, rows_used);
     std::fill(ones, ones + rows_used, 1.0f);
@@ -276,7 +278,6 @@ class GeniexProgrammed final : public ProgrammedXbar {
     std::fill(flagged.begin(), flagged.end(), std::int8_t{0});
     bool any_fallback = false;
     const float rel_floor = kGeniexRelFloor * i_scale;
-    Tensor out({cfg_.cols, n});
     for (std::int64_t j0 = 0; j0 < cols_used; j0 += cb) {
       const std::int64_t m = std::min(cb, cols_used - j0);
       // Step 1: feature row [iid | e | p | wd] of each column in the block.
@@ -284,7 +285,8 @@ class GeniexProgrammed final : public ProgrammedXbar {
         std::fill(feat + jj * ldf, feat + jj * ldf + ldx, 0.0f);
       simd::gemm_accum(feat, stats_.gt.raw() + j0 * rows, xs, m, ldx,
                        rows_used, rows, ldx, ldf);
-      // Step 3: hid_j = per-sample term + [w_x | c_j] * [features; ones].
+      // Step 2 per column (c_j), then step 3:
+      // hid_j = per-sample term + [w_x | c_j] * [features; ones].
       for (std::int64_t jj = 0; jj < m; ++jj) {
         const std::int64_t j = j0 + jj;
         const float load = stats_.gsum[j];

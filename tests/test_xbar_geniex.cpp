@@ -187,7 +187,7 @@ TEST(Geniex, FoldedEvaluationMatchesFeatureReference) {
   const std::pair<std::int64_t, std::int64_t> regions[] = {
       {cfg.rows, cfg.cols}, {cfg.rows - 5, cfg.cols - 3}, {7, 5}};
   for (const auto& [rows_used, cols_used] : regions) {
-    for (const std::int64_t n : {1, 9, 16, 36, 144}) {
+    for (const std::int64_t n : {0, 1, 9, 16, 36, 144}) {  // 0: empty batch
       Tensor vb({cfg.rows, n});
       Tensor want({cols_used, n});
       for (std::int64_t k = 0; k < n; ++k) {
