@@ -17,8 +17,8 @@ constexpr std::array<const char*, kHealthCounterCount> kMetricNames = {
 };
 
 // The four counters live in the process-wide metrics registry; this array
-// just caches the registered references so bump() stays a single relaxed
-// fetch_add on the hot path.
+// just caches the registered references so bump() skips the registry
+// lookup.
 std::array<metrics::Counter*, kHealthCounterCount>& counters() {
   static std::array<metrics::Counter*, kHealthCounterCount> c = [] {
     std::array<metrics::Counter*, kHealthCounterCount> a{};
@@ -36,7 +36,9 @@ const char* health_metric_name(HealthCounter c) {
 }
 
 std::uint64_t bump(HealthCounter c, std::uint64_t n) {
-  return counters()[static_cast<std::size_t>(c)]->add(n);
+  metrics::Counter& counter = *counters()[static_cast<std::size_t>(c)];
+  counter.add(n);
+  return counter.value();
 }
 
 std::uint64_t health_value(HealthCounter c) {

@@ -11,7 +11,7 @@
 // Each health counter IS a metrics::Counter registered under a canonical
 // name (see health_metric_name), so health_snapshot() and the run-manifest
 // exporter report from one source of truth: bump() is the single increment
-// path, and both views read the same relaxed atomic.
+// path, and both views read the same sharded counter.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,9 @@ inline constexpr int kHealthCounterCount = 4;
 /// Canonical metric name backing counter `c` (e.g. "solver/nonconverged").
 const char* health_metric_name(HealthCounter c);
 
-/// Increments `c` by `n`; returns the post-increment value.
+/// Increments `c` by `n`; returns the counter's value read just after
+/// (it may include other threads' concurrent bumps — exact enough for the
+/// log throttle below).
 std::uint64_t bump(HealthCounter c, std::uint64_t n = 1);
 
 /// Current value of one counter.
@@ -58,7 +60,7 @@ void reset_health_counters();
 
 /// Event-log throttle: warn on the first few occurrences of a failure
 /// class, then once per 1024 so a pathological run cannot flood stderr.
-/// `n` is the post-increment counter value from bump().
+/// `n` is the counter value bump() returned.
 inline bool health_should_log(std::uint64_t n) {
   return n <= 5 || (n & 1023) == 0;
 }

@@ -68,6 +68,21 @@ Entry& find_or_create(const std::string& name, Kind kind,
 
 }  // namespace
 
+std::size_t Counter::next_shard_index() {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kShards;
+}
+
+std::uint64_t Counter::value() const {
+  std::uint64_t total = 0;
+  for (const Shard& s : shards_) total += s.v.load(std::memory_order_relaxed);
+  return total;
+}
+
+void Counter::reset() {
+  for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
+}
+
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)),
       buckets_(bounds_.size() + 1) {

@@ -12,10 +12,13 @@
 // "solver/sweeps", "attack/square/queries", "xbar/geniex/fallbacks". See
 // DESIGN.md §10 for the full table.
 //
-// Concurrency: all mutation paths are relaxed atomics — cheap enough for
-// hot paths and exact under the thread pool (monotonic tallies need no
-// ordering). Registration (find-or-create by name) takes a mutex, so call
-// sites cache the returned reference in a function-local static:
+// Concurrency: all mutation paths are relaxed atomics — exact under the
+// thread pool (monotonic tallies need no ordering). Counters are sharded:
+// each thread adds to its own cache-line-padded slot, so hot paths that
+// bump the same counter from several threads (every nvm::simd kernel call
+// tallies two) never contend on one cache line. Registration
+// (find-or-create by name) takes a mutex, so call sites cache the returned
+// reference in a function-local static:
 //
 //   static metrics::Counter& solves = metrics::counter("solver/solves");
 //   solves.add();
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -33,19 +37,40 @@
 
 namespace nvm::metrics {
 
-/// Monotonic event tally.
+/// Monotonic event tally, sharded across threads. add() touches only the
+/// calling thread's shard (one uncontended relaxed RMW); value() sums the
+/// shards. Threads map onto shards round-robin in order of their first
+/// add, so with more than kShards threads some share a shard — still
+/// exact, just no longer contention-free. Memory: kShards cache lines
+/// (1 KiB) per counter.
 class Counter {
  public:
-  /// Increments by `n`; returns the post-increment value (for throttles).
-  std::uint64_t add(std::uint64_t n = 1) {
-    return v_.fetch_add(n, std::memory_order_relaxed) + n;
+  static constexpr std::size_t kShards = 16;
+
+  /// Increments by `n`. Returns nothing: a running total would need a
+  /// cross-shard sum per call; callers that throttle on the total (health
+  /// warnings) read value() after adding.
+  void add(std::uint64_t n = 1) {
+    shards_[shard_index()].v.fetch_add(n, std::memory_order_relaxed);
   }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  /// Sum over the shards. Exact once concurrent adders have finished;
+  /// while they run, it includes each completed add() exactly once.
+  std::uint64_t value() const;
   /// Tests only; experiments should diff snapshots instead.
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void reset();
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> v{0};
+  };
+  /// The calling thread's shard, fixed at its first call.
+  static std::size_t shard_index() {
+    thread_local const std::size_t index = next_shard_index();
+    return index;
+  }
+  static std::size_t next_shard_index();
+
+  Shard shards_[kShards];
 };
 
 /// Last-write-wins scalar (fit quality, configured sizes, wall times).

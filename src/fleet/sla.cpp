@@ -86,8 +86,9 @@ SlaReport SlaMonitor::observe(const std::vector<ChipEval>& sampled) {
   }
 
   if (report.violations > 0) {
-    const auto total = violation_counter().add(
-        static_cast<std::uint64_t>(report.violations));
+    metrics::Counter& violations = violation_counter();
+    violations.add(static_cast<std::uint64_t>(report.violations));
+    const std::uint64_t total = violations.value();
     if (health_should_log(total))
       NVM_LOG(Warn) << "fleet SLA: " << report.violations
                     << " violation(s) this epoch (availability="

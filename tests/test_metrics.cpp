@@ -13,6 +13,7 @@
 #include <regex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/health.h"
@@ -33,11 +34,15 @@ using namespace nvm;
 // ---------------------------------------------------------------------------
 // Counter / gauge / histogram semantics
 
-TEST(Metrics, CounterAddReturnsPostValueAndAccumulates) {
+TEST(Metrics, CounterAddAccumulatesAndResets) {
   metrics::Counter& c = metrics::counter("test/counter_basic");
   c.reset();
-  EXPECT_EQ(c.add(), 1u);
-  EXPECT_EQ(c.add(4), 5u);
+  // add() returns nothing (a running total would need a cross-shard sum
+  // per call); the total is read through value().
+  static_assert(std::is_void_v<decltype(c.add())>);
+  c.add();
+  EXPECT_EQ(c.value(), 1u);
+  c.add(4);
   EXPECT_EQ(c.value(), 5u);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
@@ -152,14 +157,36 @@ TEST(Metrics, TwoScopesSamePrefixAliasWithoutThrowing) {
 TEST(Metrics, CountersExactUnderConcurrentAdds) {
   metrics::Counter& c = metrics::counter("test/concurrent_adds");
   c.reset();
-  constexpr int kThreads = 4, kAdds = 20000;
+  const auto before = metrics::snapshot();
+  // More threads than shards, so some threads share a shard; sums must
+  // stay exact either way.
+  constexpr int kThreads = 2 * static_cast<int>(metrics::Counter::kShards) + 3;
+  constexpr int kAdds = 5000;
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t)
-    ts.emplace_back([&c] {
-      for (int i = 0; i < kAdds; ++i) c.add();
+    ts.emplace_back([&c, t] {
+      for (int i = 0; i < kAdds; ++i) c.add(1 + (t & 1));
     });
+  // Snapshots taken while the adders run see a monotonic total.
+  std::uint64_t last = 0;
+  for (int i = 0; i < 50; ++i) {
+    const std::uint64_t now = c.value();
+    EXPECT_GE(now, last);
+    last = now;
+  }
   for (auto& t : ts) t.join();
-  EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kAdds);
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>(kAdds) * ((kThreads + 1) / 2 * 1 + kThreads / 2 * 2);
+  EXPECT_EQ(c.value(), expected);
+
+  const auto d = metrics::delta(metrics::snapshot(), before);
+  bool found = false;
+  for (const metrics::MetricValue& m : d)
+    if (m.name == "test/concurrent_adds") {
+      found = true;
+      EXPECT_EQ(m.value, static_cast<double>(expected));
+    }
+  EXPECT_TRUE(found);
 }
 
 TEST(Metrics, QuantileInterpolatesWithinBuckets) {
