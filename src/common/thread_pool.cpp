@@ -157,9 +157,19 @@ void ThreadPool::parallel_chunks(std::int64_t n, std::int64_t max_chunks,
 
 void ThreadPool::parallel_for(std::int64_t n,
                               const std::function<void(std::int64_t)>& fn) {
+  // Self-scheduled: one chunk per execution context, each claiming the
+  // next unclaimed index from a shared cursor until the range is drained,
+  // so uneven per-index costs (heavy tile slots next to skipped ones)
+  // spread over the pool instead of piling onto one static block. On the
+  // serial path chunk 0 claims every index in ascending order.
+  std::atomic<std::int64_t> next{0};
   parallel_chunks(n, static_cast<std::int64_t>(size_),
-                  [&fn](std::int64_t, std::int64_t begin, std::int64_t end) {
-                    for (std::int64_t i = begin; i < end; ++i) fn(i);
+                  [&](std::int64_t, std::int64_t, std::int64_t) {
+                    for (std::int64_t i = next.fetch_add(
+                             1, std::memory_order_relaxed);
+                         i < n;
+                         i = next.fetch_add(1, std::memory_order_relaxed))
+                      fn(i);
                   });
 }
 

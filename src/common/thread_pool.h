@@ -5,10 +5,11 @@
 // generation, and per-sample evaluation / attack crafting all fan out
 // through it. Design constraints, in order:
 //
-//   * Determinism. parallel_for / parallel_chunks decompose work
-//     independently of the pool size, and callers only submit index-wise
-//     independent work (or reduce partials in a fixed order), so results
-//     are bit-identical for any NVM_THREADS value, including 1.
+//   * Determinism. parallel_chunks decomposes work independently of the
+//     pool size; parallel_for self-schedules single indices. Callers only
+//     submit index-wise independent work (or reduce partials in a fixed
+//     order), so results are bit-identical for any NVM_THREADS value,
+//     including 1.
 //   * No work stealing, no task futures. One blocking fork-join primitive
 //     keeps the concurrency surface small enough to reason about (and to
 //     run cleanly under -fsanitize=thread).
@@ -48,11 +49,18 @@ class ThreadPool {
 
   std::size_t size() const { return size_; }
 
-  /// Runs fn(i) for every i in [0, n), blocking until all complete. The
-  /// first exception thrown by any invocation is rethrown here after every
-  /// chunk has finished; the throwing chunk abandons its remaining indices
-  /// while other chunks run to completion. Indices are processed in
-  /// contiguous blocks; fn must be safe to call concurrently for distinct i.
+  /// Runs fn(i) for every i in [0, n), blocking until all complete. Each
+  /// of the min(size(), n) execution contexts claims the next unclaimed
+  /// index from a shared atomic cursor (self-scheduling), so which thread
+  /// runs which index depends on timing: fn must be safe to call
+  /// concurrently for distinct i, and callers that need bit-identical
+  /// results write per-index outputs and reduce them in a fixed order.
+  /// The first exception thrown by any invocation is rethrown here after
+  /// every context has finished; the throwing context stops claiming,
+  /// while the others keep claiming until the range is drained (so every
+  /// index except the throwing one still runs). On the inline serial path
+  /// (size 1, or nested in a parallel region) the exception propagates at
+  /// once and later indices do not run.
   void parallel_for(std::int64_t n,
                     const std::function<void(std::int64_t)>& fn);
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -41,8 +43,9 @@ TEST(ThreadPool, PropagatesFirstException) {
                           ++completed;
                         }),
       std::runtime_error);
-  // The throwing chunk abandons its remaining indices; every other chunk
-  // (at least 3 of 4 x 16 indices) still completed before the rethrow.
+  // Self-scheduling: the thread whose index threw stops claiming, the
+  // other three keep claiming until the range is drained, so every index
+  // but the throwing one completes before the rethrow.
   EXPECT_GE(completed.load(), 48);
   EXPECT_LT(completed.load(), 64);
 }
@@ -201,6 +204,29 @@ TEST(ThreadPool, JoinStateOutlivesTheLastWorker) {
   for (int round = 0; round < 20000; ++round)
     pool.parallel_for(2, [&](std::int64_t i) { sum += i; });
   EXPECT_EQ(sum.load(), 20000);
+}
+
+TEST(ThreadPool, ParallelForIdleThreadsClaimRemainingIndices) {
+  // Index 0 blocks until every other index has run. With self-scheduling
+  // the second thread claims all of them; a static split would strand
+  // [1, n/2) behind the blocked index 0 until the timeout.
+  ThreadPool pool(2);
+  constexpr std::int64_t kN = 64;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::int64_t others_done = 0;
+  bool drained = false;
+  pool.parallel_for(kN, [&](std::int64_t i) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (i != 0) {
+      if (++others_done == kN - 1) cv.notify_all();
+      return;
+    }
+    drained = cv.wait_for(lock, std::chrono::seconds(20),
+                          [&] { return others_done == kN - 1; });
+  });
+  EXPECT_TRUE(drained);
+  EXPECT_EQ(others_done, kN - 1);
 }
 
 }  // namespace
