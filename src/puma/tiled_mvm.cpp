@@ -96,56 +96,61 @@ TiledMatrix::TiledMatrix(const Tensor& w,
                     cfg.rows * smax * tmax < (std::int64_t{1} << 24);
   }
 
-  tiles_.resize(
-      static_cast<std::size_t>(row_tiles_ * col_tiles_ * 2 * slices));
+  // Every tile slot (row tile, col tile, polarity, slice) is programmed
+  // as its own task: MvmModel::program() is safe to call concurrently, and
+  // each task writes only its own slot, so the programmed state does not
+  // depend on the thread count. Each task builds its full (rows x cols)
+  // conductance block straight from the quantized weights: unused cells
+  // stay at g_off and are cancelled by baseline subtraction (their inputs
+  // are zero-padded anyway).
+  const std::int64_t slots = total_tile_slots();
+  tiles_.resize(static_cast<std::size_t>(slots));
   if (int_gates_ok_ && model_->is_ideal()) wchunks_.resize(tiles_.size());
-  for (std::int64_t ti = 0; ti < row_tiles_; ++ti) {
+  const float* pq = qw.q.raw();  // (M x K)
+  const std::int64_t chunk_mask = (std::int64_t{1} << hw_.slice_bits) - 1;
+  parallel_for(slots, [&](std::int64_t slot) {
+    const std::int64_t s = slot % slices;
+    const std::int64_t q = slot / slices;
+    const bool negative = q % 2 == 1;  // polarity 1 = negative magnitudes
+    const std::int64_t tj = (q / 2) % col_tiles_;
+    const std::int64_t ti = (q / 2) / col_tiles_;
     const std::int64_t k0 = ti * cfg.rows;
-    const std::int64_t k1 = std::min(k_, k0 + cfg.rows);
-    for (std::int64_t tj = 0; tj < col_tiles_; ++tj) {
-      const std::int64_t m0 = tj * cfg.cols;
-      const std::int64_t m1 = std::min(m_, m0 + cfg.cols);
-      for (int pol = 0; pol < 2; ++pol) {
-        // Polarity 0 = positive weights, 1 = negative magnitudes.
-        Tensor mag({k1 - k0, m1 - m0});
-        bool any = false;
-        for (std::int64_t kk = k0; kk < k1; ++kk) {
-          for (std::int64_t mm = m0; mm < m1; ++mm) {
-            const float q = qw.q.at(mm, kk);
-            const float v = (pol == 0) ? std::max(q, 0.0f) : std::max(-q, 0.0f);
-            mag.at(kk - k0, mm - m0) = v;
-            any = any || v != 0.0f;
-          }
-        }
-        for (std::int64_t s = 0; s < slices; ++s) {
-          const std::size_t slot = static_cast<std::size_t>(
-              ((ti * col_tiles_ + tj) * 2 + pol) * slices + s);
-          if (hw_.skip_zero_tiles && !any) continue;  // whole polarity empty
-          Tensor chunk = extract_chunk(mag, s, hw_.slice_bits);
-          if (hw_.skip_zero_tiles && chunk.abs_max() == 0.0f) continue;
-          // Map to conductances on a full (rows x cols) crossbar; unused
-          // cells stay at g_off and are cancelled by baseline subtraction
-          // (their inputs are zero-padded anyway).
-          Tensor g = Tensor::full({cfg.rows, cfg.cols}, g_off);
-          for (std::int64_t kk = 0; kk < k1 - k0; ++kk)
-            for (std::int64_t mm = 0; mm < m1 - m0; ++mm)
-              g.at(kk, mm) = g_off + g_unit * chunk.at(kk, mm);
-          tiles_[slot] = model_->program(g);
-          ++programmed_count_;
-          if (!wchunks_.empty()) {
-            // Same chunk values as the programmed conductances, kept as
-            // int8 for the fully-digital int path.
-            std::vector<std::int8_t>& w8 = wchunks_[slot];
-            w8.resize(static_cast<std::size_t>((k1 - k0) * (m1 - m0)));
-            for (std::int64_t kk = 0; kk < k1 - k0; ++kk)
-              for (std::int64_t mm = 0; mm < m1 - m0; ++mm)
-                w8[static_cast<std::size_t>(kk * (m1 - m0) + mm)] =
-                    static_cast<std::int8_t>(chunk.at(kk, mm));
-          }
-        }
+    const std::int64_t k_used = std::min(k_, k0 + cfg.rows) - k0;
+    const std::int64_t m0 = tj * cfg.cols;
+    const std::int64_t m_used = std::min(m_, m0 + cfg.cols) - m0;
+    const std::int64_t shift = s * hw_.slice_bits;
+
+    Tensor g = Tensor::full({cfg.rows, cfg.cols}, g_off);
+    float* pg = g.raw();
+    std::vector<std::int8_t> w8;
+    if (!wchunks_.empty())
+      w8.resize(static_cast<std::size_t>(k_used * m_used));
+    bool any = false;
+    for (std::int64_t kk = 0; kk < k_used; ++kk) {
+      for (std::int64_t mm = 0; mm < m_used; ++mm) {
+        // Slice s of this polarity's integer magnitude (extract_chunk's
+        // arithmetic, inlined).
+        const float w = pq[(m0 + mm) * k_ + k0 + kk];
+        const float mag = negative ? std::max(-w, 0.0f) : std::max(w, 0.0f);
+        const std::int64_t chunk =
+            (static_cast<std::int64_t>(std::llround(mag)) >> shift) &
+            chunk_mask;
+        any = any || chunk != 0;
+        pg[kk * cfg.cols + mm] = g_off + g_unit * static_cast<float>(chunk);
+        if (!w8.empty())
+          w8[static_cast<std::size_t>(kk * m_used + mm)] =
+              static_cast<std::int8_t>(chunk);
       }
     }
-  }
+    if (hw_.skip_zero_tiles && !any) return;
+    tiles_[static_cast<std::size_t>(slot)] = model_->program(g);
+    // Same chunk values as the programmed conductances, kept as int8 for
+    // the fully-digital int path.
+    if (!wchunks_.empty()) wchunks_[static_cast<std::size_t>(slot)] = std::move(w8);
+  });
+  programmed_count_ = static_cast<std::int64_t>(
+      std::count_if(tiles_.begin(), tiles_.end(),
+                    [](const auto& t) { return t != nullptr; }));
   static metrics::Counter& programmed =
       metrics::counter("puma/tiled/tiles_programmed");
   programmed.add(static_cast<std::uint64_t>(programmed_count_));

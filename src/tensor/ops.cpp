@@ -49,8 +49,10 @@ Tensor transpose2d(const Tensor& a) {
   NVM_CHECK_EQ(a.rank(), 2u);
   const std::int64_t m = a.dim(0), n = a.dim(1);
   Tensor t({n, m});
+  const float* pa = a.raw();
+  float* pt = t.raw();
   for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j) t.at(j, i) = a.at(i, j);
+    for (std::int64_t j = 0; j < n; ++j) pt[j * m + i] = pa[i * n + j];
   return t;
 }
 

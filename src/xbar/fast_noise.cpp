@@ -127,12 +127,15 @@ class FastNoiseProgrammed final : public ProgrammedXbar {
     const std::int64_t rows = cfg_.rows, cols = cfg_.cols;
     growsum_.assign(static_cast<std::size_t>(rows), 0.0);
     gsum_.assign(static_cast<std::size_t>(cols), 0.0);
-    for (std::int64_t i = 0; i < rows; ++i)
+    const float* pg = g_.raw();
+    for (std::int64_t i = 0; i < rows; ++i) {
+      double& rsum = growsum_[static_cast<std::size_t>(i)];
       for (std::int64_t j = 0; j < cols; ++j) {
-        const double gij = g_.at(i, j);
-        growsum_[static_cast<std::size_t>(i)] += gij;
+        const double gij = pg[i * cols + j];
+        rsum += gij;
         gsum_[static_cast<std::size_t>(j)] += gij;
       }
+    }
     col_atten_.assign(static_cast<std::size_t>(cols), 1.0);
     const double r_col = cfg_.r_sink + 0.5 * cfg_.r_wire * rows;
     for (std::int64_t j = 0; j < cols; ++j)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <span>
 
 #include "common/check.h"
@@ -31,18 +32,21 @@ struct ProgramStats {
   Tensor growsum;  // (rows)
   float garr = 0;  // normalized total conductance
 
-  ProgramStats(const CrossbarConfig& cfg, const Tensor& g) {
+  ProgramStats(const CrossbarConfig& cfg, const Tensor& g)
+      : gt({cfg.cols, cfg.rows}), gsum({cfg.cols}), growsum({cfg.rows}) {
     const std::int64_t rows = cfg.rows, cols = cfg.cols;
-    gt = transpose2d(g);
-    gsum = Tensor({cols});
-    growsum = Tensor({rows});
+    const float* pg = g.raw();
+    float* pgt = gt.raw();
+    float* pgsum = gsum.raw();
     double total = 0.0;
     for (std::int64_t i = 0; i < rows; ++i) {
+      const float* grow = pg + i * cols;
       double rsum = 0.0;
       for (std::int64_t j = 0; j < cols; ++j) {
-        const float gij = g.at(i, j);
+        const float gij = grow[j];
         rsum += gij;
-        gsum[j] += gij;
+        pgsum[j] += gij;
+        pgt[j * rows + i] = gij;
       }
       growsum[i] = static_cast<float>(rsum);
       total += rsum;
@@ -157,13 +161,12 @@ class GeniexProgrammed final : public ProgrammedXbar {
   GeniexProgrammed(const CrossbarConfig& cfg,
                    std::shared_ptr<const GeniexFoldedMlp> mlp,
                    const GeniexGuardOptions& guard,
-                   const FastNoiseModel& fallback, Tensor g)
-      : cfg_(cfg), mlp_(std::move(mlp)), guard_(guard), stats_(cfg, g) {
-    // The degradation target is programmed with the same conductances up
-    // front, so a mid-batch fallback never re-enters program() (which
-    // keeps concurrent mvm calls allocation- and race-free).
-    if (guard_.enabled) fallback_xbar_ = fallback.program(g);
-  }
+                   const FastNoiseModel& fallback, const Tensor& g)
+      : cfg_(cfg),
+        mlp_(std::move(mlp)),
+        guard_(guard),
+        fallback_(fallback),
+        stats_(cfg, g) {}
 
   Tensor mvm(const Tensor& v) override {
     Tensor vb = v.reshaped({cfg_.rows, 1});
@@ -352,7 +355,7 @@ class GeniexProgrammed final : public ProgrammedXbar {
       ++dropped;
       Tensor v({rows});
       for (std::int64_t i = 0; i < rows; ++i) v[i] = vb.at(i, k);
-      Tensor y = fallback_xbar_->mvm(v);
+      Tensor y = fallback_xbar().mvm(v);
       for (std::int64_t j = 0; j < cols_used; ++j) out.at(j, k) = y[j];
     }
     const std::uint64_t total = bump(HealthCounter::SurrogateFallback, dropped);
@@ -363,9 +366,26 @@ class GeniexProgrammed final : public ProgrammedXbar {
                     << total << ")";
   }
 
+  /// The degradation target, programmed on first use with the same
+  /// conductances (G = transpose of the stored G^T, exactly). Out-of-
+  /// envelope inputs are rare, so most tiles never pay for it; call_once
+  /// keeps concurrent fallbacks on one tile race-free and programs it
+  /// exactly once.
+  ProgrammedXbar& fallback_xbar() {
+    std::call_once(fallback_once_, [&] {
+      fallback_xbar_ = fallback_.program(transpose2d(stats_.gt));
+      static metrics::Counter& programs =
+          metrics::counter("xbar/geniex/fallback_programs");
+      programs.add();
+    });
+    return *fallback_xbar_;
+  }
+
   const CrossbarConfig& cfg_;
   std::shared_ptr<const GeniexFoldedMlp> mlp_;
   GeniexGuardOptions guard_;
+  const FastNoiseModel& fallback_;
+  std::once_flag fallback_once_;
   std::unique_ptr<ProgrammedXbar> fallback_xbar_;
   ProgramStats stats_;
 };

@@ -165,7 +165,11 @@ class MvmModel {
   virtual ~MvmModel() = default;
 
   /// Programs `g` onto a crossbar; g must be (rows, cols) within config
-  /// conductance bounds (validated).
+  /// conductance bounds (validated). Must be safe to call concurrently on
+  /// one model: puma::TiledMatrix programs its tile slots in parallel, so
+  /// program() may not touch shared mutable state, and its result may not
+  /// depend on call order (derive per-device randomness from the model's
+  /// seeds and the cell position, as VariationModel does).
   virtual std::unique_ptr<ProgrammedXbar> program(const Tensor& g) const = 0;
 
   virtual const CrossbarConfig& config() const = 0;

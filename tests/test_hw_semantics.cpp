@@ -16,6 +16,9 @@
 #include "test_util.h"
 #include "xbar/circuit_solver.h"
 #include "xbar/fast_noise.h"
+#include "xbar/fault.h"
+#include "xbar/geniex.h"
+#include "xbar/variation.h"
 
 namespace nvm {
 namespace {
@@ -198,6 +201,70 @@ TEST(HwSemantics, TiledMatmulBitIdenticalAcrossThreadCounts) {
     r_wide = tiled.matmul(x, 1.0f);
   }
   EXPECT_EQ(max_abs_diff(r_serial, r_wide), 0.0f);
+}
+
+TEST(HwSemantics, TiledProgrammingBitIdenticalAcrossThreadCounts) {
+  // TiledMatrix programs its tile slots as parallel tasks. The programmed
+  // state must not depend on the pool: the same tiles are skipped, and
+  // every path (int digital, fused fast-noise kernels, GENIEx with its
+  // lazily programmed fallback, decorated models) gives the same outputs.
+  xbar::CrossbarConfig cfg = xbar::xbar_32x32_100k();
+  cfg.rows = cfg.cols = 16;
+  cfg.name = "16x16_prog_test";
+  Rng rng(131);
+  Tensor w = Tensor::normal({40, 70}, 0.0f, 0.2f, rng);  // 3x5 tile grid
+  for (std::int64_t m = 0; m < 16; ++m)
+    for (std::int64_t k = 0; k < 16; ++k) {
+      w.at(m, k) = 0.0f;                                 // one empty tile
+      w.at(m, 16 + k) = std::abs(w.at(m, 16 + k));       // one empty polarity
+    }
+  Tensor x = Tensor::uniform({70, 5}, 0.0f, 1.0f, rng);
+
+  // An untrained surrogate behind a narrow trust envelope: some of its
+  // predictions leave the envelope, so the lazily programmed fallback runs
+  // too (concurrently, under the wide pool).
+  Rng mlp_rng(132);
+  xbar::GeniexGuardOptions narrow;
+  narrow.rel_max = 0.5f;
+  auto geniex = std::make_shared<xbar::GeniexModel>(
+      cfg, xbar::MlpRegressor(xbar::kGeniexFeatureCount, 8, mlp_rng), narrow);
+  const std::uint64_t fallbacks_before =
+      health_value(HealthCounter::SurrogateFallback);
+  xbar::FaultOptions faults;
+  faults.stuck_on_rate = 0.02;
+  faults.stuck_off_rate = 0.02;
+  const std::vector<std::pair<const char*, std::shared_ptr<xbar::MvmModel>>>
+      models = {
+          {"ideal", std::make_shared<xbar::IdealXbarModel>(cfg)},
+          {"fast_noise", std::make_shared<xbar::FastNoiseModel>(cfg)},
+          {"geniex", geniex},
+          {"var(fault(geniex))",
+           std::make_shared<xbar::VariationModel>(
+               std::make_shared<xbar::FaultModel>(geniex, faults),
+               xbar::VariationOptions{})},
+      };
+
+  ThreadPool serial(1), wide(4);
+  for (const auto& [name, model] : models) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<puma::TiledMatrix> a, b;
+    {
+      ThreadPool::ScopedUse use(serial);
+      a = std::make_unique<puma::TiledMatrix>(w, model, puma::HwConfig{});
+    }
+    {
+      ThreadPool::ScopedUse use(wide);
+      b = std::make_unique<puma::TiledMatrix>(w, model, puma::HwConfig{});
+    }
+    EXPECT_EQ(a->programmed_tiles(), b->programmed_tiles());
+    EXPECT_LT(a->programmed_tiles(), a->total_tile_slots());
+    ThreadPool::ScopedUse use(wide);
+    const Tensor ra = a->matmul(x, 1.0f);
+    const Tensor rb = b->matmul(x, 1.0f);
+    EXPECT_EQ(std::vector<float>(ra.data().begin(), ra.data().end()),
+              std::vector<float>(rb.data().begin(), rb.data().end()));
+  }
+  EXPECT_GT(health_value(HealthCounter::SurrogateFallback), fallbacks_before);
 }
 
 TEST(HwSemantics, SolverBatchBitIdenticalAcrossThreadCounts) {

@@ -4,11 +4,14 @@
 #include "common/check.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/health.h"
+#include "common/metrics.h"
 #include "common/simd.h"
 #include "xbar/fast_noise.h"
 #include "xbar/geniex.h"
@@ -248,6 +251,54 @@ TEST(Geniex, GuardFallsBackToFastNoiseOutsideEnvelope) {
   Tensor out = guarded.program(g)->mvm(v);
   EXPECT_GT(health_value(HealthCounter::SurrogateFallback), before);
   EXPECT_EQ(max_abs_diff(out, fallback.program(g)->mvm(v)), 0.0f);
+}
+
+TEST(Geniex, LazyFallbackProgrammedOnceUnderConcurrentTrips) {
+  // A tight envelope trips on every input. Four threads evaluate the same
+  // programmed tile at once: its fast-noise fallback is programmed lazily
+  // (not at program()), exactly once, and every output equals evaluating
+  // an eagerly programmed FastNoiseModel directly.
+  CrossbarConfig cfg = small_config();
+  GeniexGuardOptions tight;
+  tight.rel_min = -1e-6f;
+  tight.rel_max = 1e-6f;
+  Rng mlp_rng(23);
+  GeniexModel guarded(cfg, MlpRegressor(kGeniexFeatureCount, 8, mlp_rng),
+                      tight);
+  FastNoiseModel fallback(cfg);
+  Rng rng(24);
+  const Tensor g = sample_conductances(cfg, rng);
+  constexpr int kThreads = 4;
+  std::vector<Tensor> v;
+  for (int t = 0; t < kThreads; ++t) v.push_back(sample_voltages(cfg, rng));
+
+  metrics::Counter& programs =
+      metrics::counter("xbar/geniex/fallback_programs");
+  const std::uint64_t before = programs.value();
+  const auto tripped_before = health_value(HealthCounter::SurrogateFallback);
+  auto programmed = guarded.program(g);
+  EXPECT_EQ(programs.value(), before);
+
+  std::vector<Tensor> out(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      out[static_cast<std::size_t>(t)] =
+          programmed->mvm(v[static_cast<std::size_t>(t)]);
+    });
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(programs.value() - before, 1u);
+  EXPECT_EQ(health_value(HealthCounter::SurrogateFallback) - tripped_before,
+            static_cast<std::uint64_t>(kThreads));
+  auto eager = fallback.program(g);
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(max_abs_diff(out[static_cast<std::size_t>(t)],
+                           eager->mvm(v[static_cast<std::size_t>(t)])),
+              0.0f);
 }
 
 TEST(Geniex, GuardIsQuietOnInDistributionInputs) {
