@@ -297,6 +297,29 @@ void gemm_bt_scalar(float* c, const float* a, const float* b, std::int64_t m,
   }
 }
 
+void mlp_tanh_accum_scalar(float* y, const float* h0, const float* a,
+                           const float* x, const float* w2,
+                           std::int64_t hidden, std::int64_t n,
+                           std::int64_t k, std::int64_t ldh, std::int64_t lda,
+                           std::int64_t ldx) {
+  // gemm_scalar's per-element sequence in both layers: unfused, zero
+  // coefficients skipped.
+  for (std::int64_t j = 0; j < n; ++j) {
+    float yj = y[j];
+    for (std::int64_t h = 0; h < hidden; ++h) {
+      const float* ah = a + h * lda;
+      float t = h0[h * ldh + j];
+      for (std::int64_t f = 0; f < k; ++f) {
+        if (ah[f] == 0.0f) continue;
+        t += ah[f] * x[f * ldx + j];
+      }
+      t = tanh_fast(t);
+      if (w2[h] != 0.0f) yj += w2[h] * t;
+    }
+    y[j] = yj;
+  }
+}
+
 void gemm_f64acc_scalar(float* out, const float* a, const float* v,
                         std::int64_t m, std::int64_t n, std::int64_t k,
                         std::int64_t lda, std::int64_t ldv, std::int64_t ldo) {
@@ -463,6 +486,17 @@ void gemm_accum(float* c, const float* a, const float* b, std::int64_t m,
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
   NVM_SIMD_DISPATCH(gemm, c, a, b, m, n, k, lda, ldb, ldc);
+}
+
+void mlp_tanh_accum(float* y, const float* h0, const float* a, const float* x,
+                    const float* w2, std::int64_t hidden, std::int64_t n,
+                    std::int64_t k, std::int64_t ldh, std::int64_t lda,
+                    std::int64_t ldx) {
+  static metrics::Counter& calls = metrics::counter("simd/kernel/mlp_tanh");
+  // Both layers' multiply-adds plus ~12 ops per tanh, per (unit, sample).
+  tally(calls, u64(hidden) * u64(n) * (2 * u64(k) + 14));
+  NVM_SIMD_DISPATCH(mlp_tanh_accum, y, h0, a, x, w2, hidden, n, k, ldh, lda,
+                    ldx);
 }
 
 void gemm_at_accum(float* c, const float* a, const float* b, std::int64_t m,

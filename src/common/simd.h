@@ -128,6 +128,22 @@ void gemm_bt_accum(float* c, const float* a, const float* b, std::int64_t m,
                    std::int64_t n, std::int64_t k, std::int64_t lda,
                    std::int64_t ldb, std::int64_t ldc);
 
+/// [~ulp] Fused two-layer tanh MLP over n samples:
+///   y(n) += w2^T * tanh(H0 + A * X)
+/// with H0 (hidden x n, ldh), A (hidden x k, lda), X (k x n, ldx) and w2
+/// (hidden). Each hidden activation stays in registers: the (hidden x n)
+/// block never goes to memory. Per output element it repeats the exact op
+/// sequence of the composition
+///   H = H0; gemm_accum(H, A, X); tanh_block(H); gemm_accum(y, w2, H, m=1)
+/// on the same tier, scalar tails included, so it is bit-identical to that
+/// composition on every tier; across tiers it inherits gemm's [~ulp]
+/// class. (The GENIEx crossbar surrogate's first layer, tanh and output
+/// layer, DESIGN.md §6.)
+void mlp_tanh_accum(float* y, const float* h0, const float* a, const float* x,
+                    const float* w2, std::int64_t hidden, std::int64_t n,
+                    std::int64_t k, std::int64_t ldh, std::int64_t lda,
+                    std::int64_t ldx);
+
 /// [exact] out(m x n, ldo) = A(m x k, lda) * V(k x n, ldv) accumulated in
 /// double per output element, sequential over k — bit-identical to the
 /// scalar loop `for k: acc += double(a) * v;` and therefore to

@@ -87,34 +87,36 @@ void scale_avx2(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = n8; i < n; ++i) y[i] = alpha * x[i];
 }
 
-void tanh_block_avx2(float* x, std::int64_t n) {
-  // Same polynomial op sequence as tanh_fast; saturation applied by blend.
-  const __m256 hi = _mm256_set1_ps(4.97f);
-  const __m256 lo = _mm256_set1_ps(-4.97f);
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 neg_one = _mm256_set1_ps(-1.0f);
+namespace {
+
+/// tanh_fast's op sequence on 8 lanes; saturation applied by blend.
+inline __m256 tanh8(__m256 v) {
   const __m256 c0 = _mm256_set1_ps(135135.0f);
-  const __m256 c1 = _mm256_set1_ps(17325.0f);
-  const __m256 c2 = _mm256_set1_ps(378.0f);
-  const __m256 d1 = _mm256_set1_ps(62370.0f);
-  const __m256 d2 = _mm256_set1_ps(3150.0f);
-  const __m256 d3 = _mm256_set1_ps(28.0f);
+  const __m256 x2 = _mm256_mul_ps(v, v);
+  __m256 p = _mm256_add_ps(_mm256_set1_ps(378.0f), x2);
+  p = _mm256_add_ps(_mm256_set1_ps(17325.0f), _mm256_mul_ps(x2, p));
+  p = _mm256_add_ps(c0, _mm256_mul_ps(x2, p));
+  p = _mm256_mul_ps(v, p);
+  __m256 q = _mm256_add_ps(_mm256_set1_ps(3150.0f),
+                           _mm256_mul_ps(x2, _mm256_set1_ps(28.0f)));
+  q = _mm256_add_ps(_mm256_set1_ps(62370.0f), _mm256_mul_ps(x2, q));
+  q = _mm256_add_ps(c0, _mm256_mul_ps(x2, q));
+  __m256 r = _mm256_div_ps(p, q);
+  r = _mm256_blendv_ps(
+      r, _mm256_set1_ps(1.0f),
+      _mm256_cmp_ps(v, _mm256_set1_ps(4.97f), _CMP_GT_OQ));
+  r = _mm256_blendv_ps(
+      r, _mm256_set1_ps(-1.0f),
+      _mm256_cmp_ps(v, _mm256_set1_ps(-4.97f), _CMP_LT_OQ));
+  return r;
+}
+
+}  // namespace
+
+void tanh_block_avx2(float* x, std::int64_t n) {
   const std::int64_t n8 = n & ~std::int64_t{7};
-  for (std::int64_t i = 0; i < n8; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256 x2 = _mm256_mul_ps(v, v);
-    __m256 p = _mm256_add_ps(c2, x2);
-    p = _mm256_add_ps(c1, _mm256_mul_ps(x2, p));
-    p = _mm256_add_ps(c0, _mm256_mul_ps(x2, p));
-    p = _mm256_mul_ps(v, p);
-    __m256 q = _mm256_add_ps(d2, _mm256_mul_ps(x2, d3));
-    q = _mm256_add_ps(d1, _mm256_mul_ps(x2, q));
-    q = _mm256_add_ps(c0, _mm256_mul_ps(x2, q));
-    __m256 r = _mm256_div_ps(p, q);
-    r = _mm256_blendv_ps(r, one, _mm256_cmp_ps(v, hi, _CMP_GT_OQ));
-    r = _mm256_blendv_ps(r, neg_one, _mm256_cmp_ps(v, lo, _CMP_LT_OQ));
-    _mm256_storeu_ps(x + i, r);
-  }
+  for (std::int64_t i = 0; i < n8; i += 8)
+    _mm256_storeu_ps(x + i, tanh8(_mm256_loadu_ps(x + i)));
   for (std::int64_t i = n8; i < n; ++i) x[i] = tanh_fast(x[i]);
 }
 
@@ -188,6 +190,37 @@ void gemm_avx2(float* c, const float* a, const float* b, std::int64_t m,
   for (std::int64_t i = m4; i < m; ++i)
     gemm_row_fma(c + i * ldc, b, n, k, ldb,
                  [&](std::int64_t kk) { return a[i * lda + kk]; });
+}
+
+void mlp_tanh_accum_avx2(float* y, const float* h0, const float* a,
+                         const float* x, const float* w2, std::int64_t hidden,
+                         std::int64_t n, std::int64_t k, std::int64_t ldh,
+                         std::int64_t lda, std::int64_t ldx) {
+  // Lanes below n8 take gemm_avx2's FMA body in both layers, the rest its
+  // unfused scalar tail; tanh is exact either way.
+  const std::int64_t n8 = n & ~std::int64_t{7};
+  for (std::int64_t j0 = 0; j0 < n8; j0 += 8) {
+    __m256 yv = _mm256_loadu_ps(y + j0);
+    for (std::int64_t h = 0; h < hidden; ++h) {
+      const float* ah = a + h * lda;
+      __m256 t = _mm256_loadu_ps(h0 + h * ldh + j0);
+      for (std::int64_t f = 0; f < k; ++f)
+        t = _mm256_fmadd_ps(_mm256_set1_ps(ah[f]),
+                            _mm256_loadu_ps(x + f * ldx + j0), t);
+      yv = _mm256_fmadd_ps(_mm256_set1_ps(w2[h]), tanh8(t), yv);
+    }
+    _mm256_storeu_ps(y + j0, yv);
+  }
+  for (std::int64_t j = n8; j < n; ++j) {
+    float yj = y[j];
+    for (std::int64_t h = 0; h < hidden; ++h) {
+      const float* ah = a + h * lda;
+      float t = h0[h * ldh + j];
+      for (std::int64_t f = 0; f < k; ++f) t += ah[f] * x[f * ldx + j];
+      yj += w2[h] * tanh_fast(t);
+    }
+    y[j] = yj;
+  }
 }
 
 void gemm_at_avx2(float* c, const float* a, const float* b, std::int64_t m,
@@ -460,6 +493,12 @@ void scale_avx2(float*, const float*, float, std::int64_t) { stub_fail(); }
 void tanh_block_avx2(float*, std::int64_t) { stub_fail(); }
 void gemm_avx2(float*, const float*, const float*, std::int64_t, std::int64_t,
                std::int64_t, std::int64_t, std::int64_t, std::int64_t) {
+  stub_fail();
+}
+void mlp_tanh_accum_avx2(float*, const float*, const float*, const float*,
+                         const float*, std::int64_t, std::int64_t,
+                         std::int64_t, std::int64_t, std::int64_t,
+                         std::int64_t) {
   stub_fail();
 }
 void gemm_at_avx2(float*, const float*, const float*, std::int64_t,

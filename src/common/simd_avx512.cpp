@@ -96,35 +96,36 @@ void scale_avx512(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = n16; i < n; ++i) y[i] = alpha * x[i];
 }
 
-void tanh_block_avx512(float* x, std::int64_t n) {
-  // Same polynomial op sequence as tanh_fast; saturation applied by mask.
-  const __m512 hi = _mm512_set1_ps(4.97f);
-  const __m512 lo = _mm512_set1_ps(-4.97f);
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 neg_one = _mm512_set1_ps(-1.0f);
+namespace {
+
+/// tanh_fast's op sequence on 16 lanes; saturation applied by mask.
+inline __m512 tanh16(__m512 v) {
   const __m512 c0 = _mm512_set1_ps(135135.0f);
-  const __m512 c1 = _mm512_set1_ps(17325.0f);
-  const __m512 c2 = _mm512_set1_ps(378.0f);
-  const __m512 d1 = _mm512_set1_ps(62370.0f);
-  const __m512 d2 = _mm512_set1_ps(3150.0f);
-  const __m512 d3 = _mm512_set1_ps(28.0f);
+  const __m512 x2 = _mm512_mul_ps(v, v);
+  __m512 p = _mm512_add_ps(_mm512_set1_ps(378.0f), x2);
+  p = _mm512_add_ps(_mm512_set1_ps(17325.0f), _mm512_mul_ps(x2, p));
+  p = _mm512_add_ps(c0, _mm512_mul_ps(x2, p));
+  p = _mm512_mul_ps(v, p);
+  __m512 q = _mm512_add_ps(_mm512_set1_ps(3150.0f),
+                           _mm512_mul_ps(x2, _mm512_set1_ps(28.0f)));
+  q = _mm512_add_ps(_mm512_set1_ps(62370.0f), _mm512_mul_ps(x2, q));
+  q = _mm512_add_ps(c0, _mm512_mul_ps(x2, q));
+  __m512 r = _mm512_div_ps(p, q);
+  r = _mm512_mask_mov_ps(
+      r, _mm512_cmp_ps_mask(v, _mm512_set1_ps(4.97f), _CMP_GT_OQ),
+      _mm512_set1_ps(1.0f));
+  r = _mm512_mask_mov_ps(
+      r, _mm512_cmp_ps_mask(v, _mm512_set1_ps(-4.97f), _CMP_LT_OQ),
+      _mm512_set1_ps(-1.0f));
+  return r;
+}
+
+}  // namespace
+
+void tanh_block_avx512(float* x, std::int64_t n) {
   const std::int64_t n16 = n & ~std::int64_t{15};
-  for (std::int64_t i = 0; i < n16; i += 16) {
-    const __m512 v = _mm512_loadu_ps(x + i);
-    const __m512 x2 = _mm512_mul_ps(v, v);
-    __m512 p = _mm512_add_ps(c2, x2);
-    p = _mm512_add_ps(c1, _mm512_mul_ps(x2, p));
-    p = _mm512_add_ps(c0, _mm512_mul_ps(x2, p));
-    p = _mm512_mul_ps(v, p);
-    __m512 q = _mm512_add_ps(d2, _mm512_mul_ps(x2, d3));
-    q = _mm512_add_ps(d1, _mm512_mul_ps(x2, q));
-    q = _mm512_add_ps(c0, _mm512_mul_ps(x2, q));
-    __m512 r = _mm512_div_ps(p, q);
-    r = _mm512_mask_mov_ps(r, _mm512_cmp_ps_mask(v, hi, _CMP_GT_OQ), one);
-    r = _mm512_mask_mov_ps(r, _mm512_cmp_ps_mask(v, lo, _CMP_LT_OQ),
-                           neg_one);
-    _mm512_storeu_ps(x + i, r);
-  }
+  for (std::int64_t i = 0; i < n16; i += 16)
+    _mm512_storeu_ps(x + i, tanh16(_mm512_loadu_ps(x + i)));
   for (std::int64_t i = n16; i < n; ++i) x[i] = tanh_fast(x[i]);
 }
 
@@ -198,6 +199,38 @@ void gemm_avx512(float* c, const float* a, const float* b, std::int64_t m,
   for (std::int64_t i = m4; i < m; ++i)
     gemm_row_fma(c + i * ldc, b, n, k, ldb,
                  [&](std::int64_t kk) { return a[i * lda + kk]; });
+}
+
+void mlp_tanh_accum_avx512(float* y, const float* h0, const float* a,
+                           const float* x, const float* w2,
+                           std::int64_t hidden, std::int64_t n,
+                           std::int64_t k, std::int64_t ldh, std::int64_t lda,
+                           std::int64_t ldx) {
+  // Lanes below n16 take gemm_avx512's FMA body in both layers, the rest
+  // its unfused scalar tail; tanh is exact either way.
+  const std::int64_t n16 = n & ~std::int64_t{15};
+  for (std::int64_t j0 = 0; j0 < n16; j0 += 16) {
+    __m512 yv = _mm512_loadu_ps(y + j0);
+    for (std::int64_t h = 0; h < hidden; ++h) {
+      const float* ah = a + h * lda;
+      __m512 t = _mm512_loadu_ps(h0 + h * ldh + j0);
+      for (std::int64_t f = 0; f < k; ++f)
+        t = _mm512_fmadd_ps(_mm512_set1_ps(ah[f]),
+                            _mm512_loadu_ps(x + f * ldx + j0), t);
+      yv = _mm512_fmadd_ps(_mm512_set1_ps(w2[h]), tanh16(t), yv);
+    }
+    _mm512_storeu_ps(y + j0, yv);
+  }
+  for (std::int64_t j = n16; j < n; ++j) {
+    float yj = y[j];
+    for (std::int64_t h = 0; h < hidden; ++h) {
+      const float* ah = a + h * lda;
+      float t = h0[h * ldh + j];
+      for (std::int64_t f = 0; f < k; ++f) t += ah[f] * x[f * ldx + j];
+      yj += w2[h] * tanh_fast(t);
+    }
+    y[j] = yj;
+  }
 }
 
 void gemm_at_avx512(float* c, const float* a, const float* b, std::int64_t m,
@@ -443,6 +476,12 @@ void tanh_block_avx512(float*, std::int64_t) { stub_fail(); }
 void gemm_avx512(float*, const float*, const float*, std::int64_t,
                  std::int64_t, std::int64_t, std::int64_t, std::int64_t,
                  std::int64_t) {
+  stub_fail();
+}
+void mlp_tanh_accum_avx512(float*, const float*, const float*,
+                           const float*, const float*, std::int64_t,
+                           std::int64_t, std::int64_t, std::int64_t,
+                           std::int64_t, std::int64_t) {
   stub_fail();
 }
 void gemm_at_avx512(float*, const float*, const float*, std::int64_t,

@@ -32,6 +32,11 @@ bool neon_tu_compiled();
   void gemm_at_##SUF(float* c, const float* a, const float* b,               \
                      std::int64_t m, std::int64_t n, std::int64_t k,         \
                      std::int64_t lda, std::int64_t ldb, std::int64_t ldc);  \
+  void mlp_tanh_accum_##SUF(float* y, const float* h0, const float* a,      \
+                            const float* x, const float* w2,                 \
+                            std::int64_t hidden, std::int64_t n,             \
+                            std::int64_t k, std::int64_t ldh,                \
+                            std::int64_t lda, std::int64_t ldx);             \
   void gemm_bt_##SUF(float* c, const float* a, const float* b,               \
                      std::int64_t m, std::int64_t n, std::int64_t k,         \
                      std::int64_t lda, std::int64_t ldb, std::int64_t ldc);  \

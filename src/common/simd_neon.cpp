@@ -81,34 +81,32 @@ void scale_neon(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = n4; i < n; ++i) y[i] = alpha * x[i];
 }
 
-void tanh_block_neon(float* x, std::int64_t n) {
-  // Same polynomial op sequence as tanh_fast; saturation applied by bsl.
-  const float32x4_t hi = vdupq_n_f32(4.97f);
-  const float32x4_t lo = vdupq_n_f32(-4.97f);
-  const float32x4_t one = vdupq_n_f32(1.0f);
-  const float32x4_t neg_one = vdupq_n_f32(-1.0f);
+namespace {
+
+/// tanh_fast's op sequence on 4 lanes; saturation applied by bsl.
+inline float32x4_t tanh4(float32x4_t v) {
   const float32x4_t c0 = vdupq_n_f32(135135.0f);
-  const float32x4_t c1 = vdupq_n_f32(17325.0f);
-  const float32x4_t c2 = vdupq_n_f32(378.0f);
-  const float32x4_t d1 = vdupq_n_f32(62370.0f);
-  const float32x4_t d2 = vdupq_n_f32(3150.0f);
-  const float32x4_t d3 = vdupq_n_f32(28.0f);
+  const float32x4_t x2 = vmulq_f32(v, v);
+  float32x4_t p = vaddq_f32(vdupq_n_f32(378.0f), x2);
+  p = vaddq_f32(vdupq_n_f32(17325.0f), vmulq_f32(x2, p));
+  p = vaddq_f32(c0, vmulq_f32(x2, p));
+  p = vmulq_f32(v, p);
+  float32x4_t q =
+      vaddq_f32(vdupq_n_f32(3150.0f), vmulq_f32(x2, vdupq_n_f32(28.0f)));
+  q = vaddq_f32(vdupq_n_f32(62370.0f), vmulq_f32(x2, q));
+  q = vaddq_f32(c0, vmulq_f32(x2, q));
+  float32x4_t r = vdivq_f32(p, q);
+  r = vbslq_f32(vcgtq_f32(v, vdupq_n_f32(4.97f)), vdupq_n_f32(1.0f), r);
+  r = vbslq_f32(vcltq_f32(v, vdupq_n_f32(-4.97f)), vdupq_n_f32(-1.0f), r);
+  return r;
+}
+
+}  // namespace
+
+void tanh_block_neon(float* x, std::int64_t n) {
   const std::int64_t n4 = n & ~std::int64_t{3};
-  for (std::int64_t i = 0; i < n4; i += 4) {
-    const float32x4_t v = vld1q_f32(x + i);
-    const float32x4_t x2 = vmulq_f32(v, v);
-    float32x4_t p = vaddq_f32(c2, x2);
-    p = vaddq_f32(c1, vmulq_f32(x2, p));
-    p = vaddq_f32(c0, vmulq_f32(x2, p));
-    p = vmulq_f32(v, p);
-    float32x4_t q = vaddq_f32(d2, vmulq_f32(x2, d3));
-    q = vaddq_f32(d1, vmulq_f32(x2, q));
-    q = vaddq_f32(c0, vmulq_f32(x2, q));
-    float32x4_t r = vdivq_f32(p, q);
-    r = vbslq_f32(vcgtq_f32(v, hi), one, r);
-    r = vbslq_f32(vcltq_f32(v, lo), neg_one, r);
-    vst1q_f32(x + i, r);
-  }
+  for (std::int64_t i = 0; i < n4; i += 4)
+    vst1q_f32(x + i, tanh4(vld1q_f32(x + i)));
   for (std::int64_t i = n4; i < n; ++i) x[i] = tanh_fast(x[i]);
 }
 
@@ -198,6 +196,52 @@ void gemm_neon(float* c, const float* a, const float* b, std::int64_t m,
   for (std::int64_t i = m4; i < m; ++i)
     gemm_row_fma(c + i * ldc, b, n, k, ldb,
                  [&](std::int64_t kk) { return a[i * lda + kk]; });
+}
+
+void mlp_tanh_accum_neon(float* y, const float* h0, const float* a,
+                         const float* x, const float* w2, std::int64_t hidden,
+                         std::int64_t n, std::int64_t k, std::int64_t ldh,
+                         std::int64_t lda, std::int64_t ldx) {
+  // gemm_neon's lane split, per layer: its 4-row microtiles (hidden units
+  // below m4) vectorize samples below n8, its single rows (the other
+  // units, and the m=1 output layer) samples below n4; everything else
+  // runs the unfused scalar tail. tanh is exact either way.
+  const std::int64_t n4 = n & ~std::int64_t{3};
+  const std::int64_t n8 = n & ~std::int64_t{7};
+  const std::int64_t m4 = hidden & ~std::int64_t{3};
+  for (std::int64_t j0 = 0; j0 < n4; j0 += 4) {
+    float32x4_t yv = vld1q_f32(y + j0);
+    for (std::int64_t h = 0; h < hidden; ++h) {
+      const float* ah = a + h * lda;
+      float32x4_t t;
+      if (j0 < n8 || h >= m4) {
+        t = vld1q_f32(h0 + h * ldh + j0);
+        for (std::int64_t f = 0; f < k; ++f)
+          t = vfmaq_f32(t, vdupq_n_f32(ah[f]), vld1q_f32(x + f * ldx + j0));
+      } else {
+        float lanes[4];
+        for (int l = 0; l < 4; ++l) {
+          float tl = h0[h * ldh + j0 + l];
+          for (std::int64_t f = 0; f < k; ++f)
+            tl += ah[f] * x[f * ldx + j0 + l];
+          lanes[l] = tl;
+        }
+        t = vld1q_f32(lanes);
+      }
+      yv = vfmaq_f32(yv, vdupq_n_f32(w2[h]), tanh4(t));
+    }
+    vst1q_f32(y + j0, yv);
+  }
+  for (std::int64_t j = n4; j < n; ++j) {
+    float yj = y[j];
+    for (std::int64_t h = 0; h < hidden; ++h) {
+      const float* ah = a + h * lda;
+      float t = h0[h * ldh + j];
+      for (std::int64_t f = 0; f < k; ++f) t += ah[f] * x[f * ldx + j];
+      yj += w2[h] * tanh_fast(t);
+    }
+    y[j] = yj;
+  }
 }
 
 void gemm_at_neon(float* c, const float* a, const float* b, std::int64_t m,
@@ -449,6 +493,12 @@ void scale_neon(float*, const float*, float, std::int64_t) { stub_fail(); }
 void tanh_block_neon(float*, std::int64_t) { stub_fail(); }
 void gemm_neon(float*, const float*, const float*, std::int64_t, std::int64_t,
                std::int64_t, std::int64_t, std::int64_t, std::int64_t) {
+  stub_fail();
+}
+void mlp_tanh_accum_neon(float*, const float*, const float*, const float*,
+                         const float*, std::int64_t, std::int64_t,
+                         std::int64_t, std::int64_t, std::int64_t,
+                         std::int64_t) {
   stub_fail();
 }
 void gemm_at_neon(float*, const float*, const float*, std::int64_t,

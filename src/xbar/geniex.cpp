@@ -204,8 +204,9 @@ class GeniexProgrammed final : public ProgrammedXbar {
   ///      energy, row-loading and wire-distance sums of every column;
   ///   2. the per-column and per-sample first-layer terms
   ///      (GeniexFoldedMlp) are computed once per call;
-  ///   3. the 4-input first layer, tanh and output layer run over blocks
-  ///      of whole columns.
+  ///   3. the 4-input first layer, tanh and output layer run as one fused
+  ///      simd::mlp_tanh_accum call per column, bit-identical on each tier
+  ///      to running them as separate gemm / tanh_block kernels.
   /// The sample dimension is padded to kMlpSamplePad, so every sample runs
   /// through the kernels' vector body and each output is a pure function
   /// of its own input vector: any blocking of the same inputs (including
@@ -262,11 +263,11 @@ class GeniexProgrammed final : public ProgrammedXbar {
     std::fill(smp, smp + hidden * np, 0.0f);
     simd::gemm_accum(smp, mlp_->w_smp.data(), sums, hidden, np, 3, 3, np, np);
 
-    // Columns go through steps 1 and 3 in blocks of cb, sized so the hidden
-    // activations stay cache-resident; a multiple of 4 keeps the feature
-    // GEMM on full microtiles. Each column's feature row carries a fifth
-    // segment of ones, which applies its constant term inside the
-    // first-layer GEMM.
+    // Columns go through steps 1 and 3 in blocks of cb, sized so the
+    // block's features stay cache-resident; a multiple of 4 keeps the
+    // feature GEMM on full microtiles. Each column's feature row carries a
+    // fifth segment of ones, which applies its constant term inside the
+    // first layer.
     constexpr std::int64_t kBlockSamples = 2048;
     const std::int64_t cb = std::min(
         cols_used, std::max<std::int64_t>(4, kBlockSamples / np / 4 * 4));
@@ -274,8 +275,7 @@ class GeniexProgrammed final : public ProgrammedXbar {
     float* feat = scratch(4, cb * ldf);
     for (std::int64_t jj = 0; jj < cb; ++jj)
       std::fill(feat + jj * ldf + 4 * np, feat + (jj + 1) * ldf, 1.0f);
-    float* w1 = scratch(5, cb * hidden * 5);   // per column: [w_x | c_j]
-    float* hid = scratch(6, cb * hidden * np);  // per column: hidden x np
+    float* w1 = scratch(5, hidden * 5);  // [w_x | c_j] of one column
     float* rel = scratch(7, cb * np);
     std::span<std::int8_t> flagged = ws.i8s(0, static_cast<std::size_t>(n));
     std::fill(flagged.begin(), flagged.end(), std::int8_t{0});
@@ -288,30 +288,24 @@ class GeniexProgrammed final : public ProgrammedXbar {
         std::fill(feat + jj * ldf, feat + jj * ldf + ldx, 0.0f);
       simd::gemm_accum(feat, stats_.gt.raw() + j0 * rows, xs, m, ldx,
                        rows_used, rows, ldx, ldf);
-      // Step 2 per column (c_j), then step 3:
-      // hid_j = per-sample term + [w_x | c_j] * [features; ones].
+      // Step 2 per column (c_j), then step 3 in one fused kernel:
+      // rel_j = b2 + w2 . tanh(per-sample term + [w_x | c_j] * [features;
+      // ones]), the hidden activations never leaving registers.
+      std::fill(rel, rel + m * np, mlp_->b2);
       for (std::int64_t jj = 0; jj < m; ++jj) {
         const std::int64_t j = j0 + jj;
         const float load = stats_.gsum[j];
         const float pos = column_position(cfg_, j);
-        float* a = w1 + jj * hidden * 5;
         for (std::int64_t h = 0; h < hidden; ++h) {
           const float* wc = mlp_->w_col.data() + h * 3;
           std::copy(mlp_->w_x.data() + h * 4, mlp_->w_x.data() + h * 4 + 4,
-                    a + h * 5);
-          a[h * 5 + 4] = mlp_->b1[static_cast<std::size_t>(h)] +
-                         wc[0] * load + wc[1] * pos + wc[2] * stats_.garr;
+                    w1 + h * 5);
+          w1[h * 5 + 4] = mlp_->b1[static_cast<std::size_t>(h)] +
+                          wc[0] * load + wc[1] * pos + wc[2] * stats_.garr;
         }
-        float* hj = hid + jj * hidden * np;
-        std::copy(smp, smp + hidden * np, hj);
-        simd::gemm_accum(hj, a, feat + jj * ldf, hidden, np, 5, 5, np, np);
+        simd::mlp_tanh_accum(rel + jj * np, smp, w1, feat + jj * ldf,
+                             mlp_->w2.data(), hidden, np, 5, np, 5, np);
       }
-      simd::tanh_block(hid, m * hidden * np);
-      std::fill(rel, rel + m * np, mlp_->b2);
-      for (std::int64_t jj = 0; jj < m; ++jj)
-        simd::gemm_accum(rel + jj * np, mlp_->w2.data(),
-                         hid + jj * hidden * np, 1, np, hidden, hidden, np,
-                         np);
 
       for (std::int64_t jj = 0; jj < m; ++jj) {
         const float* iid = feat + jj * ldf;

@@ -251,6 +251,65 @@ TEST(SimdKernels, TanhBlockMatchesTanhFastExactly) {
   }
 }
 
+/// Operands of one mlp_tanh_accum call, with padded leading dimensions
+/// and a few zero weights (the scalar tier skips zero coefficients).
+/// Magnitudes keep every pre-activation inside (-4.97, 4.97), away from
+/// tanh_fast's saturation cut.
+struct MlpCase {
+  std::int64_t hidden, n, k, ldh, lda, ldx;
+  std::vector<float> h0, a, x, w2, y0;
+
+  MlpCase(std::int64_t hidden_, std::int64_t n_, std::int64_t k_, Rng& rng)
+      : hidden(hidden_), n(n_), k(k_), ldh(n_ + 3), lda(k_ + 1),
+        ldx(n_ + 2) {
+    h0 = random_vec(hidden * ldh, rng);
+    a = random_vec(hidden * lda, rng, -0.5, 0.5);
+    x = random_vec(k * ldx, rng);
+    w2 = random_vec(hidden, rng);
+    y0 = random_vec(n, rng);
+    a[0] = 0.0f;
+    w2[static_cast<std::size_t>(hidden - 1)] = 0.0f;
+  }
+
+  std::vector<float> fused() const {
+    std::vector<float> y = y0;
+    simd::mlp_tanh_accum(y.data(), h0.data(), a.data(), x.data(), w2.data(),
+                         hidden, n, k, ldh, lda, ldx);
+    return y;
+  }
+
+  /// The composition the fused kernel replaces: first-layer gemm, tanh
+  /// over the stored hidden block, output gemm with m = 1.
+  std::vector<float> composed() const {
+    std::vector<float> hid(static_cast<std::size_t>(hidden * n));
+    for (std::int64_t h = 0; h < hidden; ++h)
+      std::copy(h0.begin() + h * ldh, h0.begin() + h * ldh + n,
+                hid.begin() + h * n);
+    simd::gemm_accum(hid.data(), a.data(), x.data(), hidden, n, k, lda, ldx,
+                     n);
+    simd::tanh_block(hid.data(), hidden * n);
+    std::vector<float> y = y0;
+    simd::gemm_accum(y.data(), w2.data(), hid.data(), 1, n, hidden, hidden,
+                     n, n);
+    return y;
+  }
+};
+
+TEST(SimdKernels, MlpTanhAccumMatchesComposedKernelsExactly) {
+  Rng rng(24);
+  for (std::int64_t hidden : {1, 5, 28})
+    for (std::int64_t k : {1, 5})
+      for (std::int64_t n : {1, 15, 16, 17, 48, 144}) {
+        const MlpCase c(hidden, n, k, rng);
+        for (simd::Isa isa : test_isas()) {
+          simd::ScopedIsaForTests scope(isa);
+          EXPECT_EQ(c.fused(), c.composed())
+              << simd::isa_name(isa) << " hidden=" << hidden << " k=" << k
+              << " n=" << n;
+        }
+      }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar vs vector-tier parity (avx2 / avx512 / neon, whichever run here)
 // ---------------------------------------------------------------------------
@@ -353,6 +412,50 @@ TEST(SimdParity, UlpKernelsWithinDocumentedBound) {
                       (std::abs(axpy_s[i]) + std::abs(0.77f * a[i])))
           << simd::isa_name(isa) << " " << i;
   }
+}
+
+/// mlp_tanh_accum inherits gemm's [~ulp] class across tiers: each layer's
+/// accumulation may differ by a few eps of its sum of absolute terms, and
+/// tanh_fast passes a pre-activation difference through with slope <= 1.
+TEST(SimdParity, MlpTanhAccumWithinGemmBoundAcrossIsas) {
+  if (vector_isas().empty()) GTEST_SKIP() << "no vector tier available";
+  Rng rng(25);
+  for (std::int64_t hidden : {1, 5, 28})
+    for (std::int64_t k : {1, 5})
+      for (std::int64_t n : {1, 15, 16, 17, 48, 144}) {
+        const MlpCase c(hidden, n, k, rng);
+        std::vector<float> ys;
+        {
+          simd::ScopedIsaForTests scope(simd::Isa::Scalar);
+          ys = c.fused();
+        }
+        const double eps = std::numeric_limits<float>::epsilon();
+        for (simd::Isa isa : vector_isas()) {
+          std::vector<float> yv;
+          {
+            simd::ScopedIsaForTests scope(isa);
+            yv = c.fused();
+          }
+          for (std::int64_t j = 0; j < n; ++j) {
+            double out_terms = std::abs(c.y0[static_cast<std::size_t>(j)]);
+            for (std::int64_t h = 0; h < hidden; ++h) {
+              double pre_terms = std::abs(c.h0[static_cast<std::size_t>(h * c.ldh + j)]);
+              for (std::int64_t f = 0; f < k; ++f)
+                pre_terms +=
+                    std::abs(c.a[static_cast<std::size_t>(h * c.lda + f)] *
+                             c.x[static_cast<std::size_t>(f * c.ldx + j)]);
+              out_terms += std::abs(c.w2[static_cast<std::size_t>(h)]) *
+                           (1.0 + pre_terms);
+            }
+            const double bound =
+                4.0 * static_cast<double>(k + hidden + 2) * eps * out_terms;
+            EXPECT_NEAR(ys[static_cast<std::size_t>(j)],
+                        yv[static_cast<std::size_t>(j)], bound)
+                << simd::isa_name(isa) << " hidden=" << hidden << " k=" << k
+                << " n=" << n << " j=" << j;
+          }
+        }
+      }
 }
 
 // ---------------------------------------------------------------------------
