@@ -91,15 +91,32 @@ void BM_GeniexMvmBatch64(benchmark::State& state) {
 }
 BENCHMARK(BM_GeniexMvmBatch64)->Unit(benchmark::kMillisecond);
 
+/// One programmed 64x64_100k GENIEx tile shared by every BM_GeniexMvmActive
+/// row (and by both threads of the concurrent row).
+struct ActiveTile {
+  std::shared_ptr<xbar::GeniexModel> model = xbar::make_geniex("64x64_100k");
+  std::unique_ptr<xbar::ProgrammedXbar> programmed =
+      model->program(bench_g(model->config()));
+};
+
+ActiveTile& active_tile() {
+  static ActiveTile tile;
+  return tile;
+}
+
 void BM_GeniexMvmActive(benchmark::State& state) {
   // The active-region calls a ResNet-20 forward makes on a 64x64 GENIEx
   // tile (Args: rows_used, cols_used, n): conv GEMMs use a corner of the
   // tile (K = 27..576 rows, 16..64 output channels) over 144 / 36 / 9
   // output pixels per stage. Per-call microseconds land in the run
-  // manifest as bench/geniex/active_r<rows>_c<cols>_n<n>_us.
-  auto model = xbar::make_geniex("64x64_100k");
-  const auto& cfg = model->config();
-  auto programmed = model->program(bench_g(cfg));
+  // manifest as bench/geniex/active_r<rows>_c<cols>_n<n>_us. The
+  // ->Threads(2) row runs two threads on the same tile at once (as the
+  // tiled matmul's slot tasks do) and records thread 0's per-call time
+  // with a _t2 suffix: shared state written on every call (e.g. a
+  // contended counter) shows up as the gap to the one-thread row.
+  ActiveTile& tile = active_tile();
+  xbar::ProgrammedXbar& programmed = *tile.programmed;
+  const auto& cfg = tile.model->config();
   const std::int64_t rows_used = state.range(0), cols_used = state.range(1);
   const std::int64_t n = state.range(2);
   Rng rng(9);
@@ -109,16 +126,24 @@ void BM_GeniexMvmActive(benchmark::State& state) {
       vb.at(i, k) = rng.bernoulli(0.25)
                         ? 0.0f
                         : static_cast<float>(rng.uniform(0, cfg.v_read));
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state)
+  // The clock starts at the first iteration, after google-benchmark's
+  // start barrier, so the per-call time excludes the other thread's setup.
+  std::chrono::steady_clock::time_point t0;
+  bool started = false;
+  for (auto _ : state) {
+    if (!started) {
+      t0 = std::chrono::steady_clock::now();
+      started = true;
+    }
     benchmark::DoNotOptimize(
-        programmed->mvm_multi_active(vb, rows_used, cols_used));
+        programmed.mvm_multi_active(vb, rows_used, cols_used));
+  }
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
-  if (state.iterations() == 0) return;
+  if (state.iterations() == 0 || state.thread_index() != 0) return;
   std::ostringstream name;
   name << "bench/geniex/active_r" << rows_used << "_c" << cols_used << "_n"
-       << n << "_us";
+       << n << (state.threads() > 1 ? "_t2" : "") << "_us";
   metrics::gauge(name.str())
       .set(dt.count() * 1e6 / static_cast<double>(state.iterations()));
 }
@@ -131,6 +156,48 @@ BENCHMARK(BM_GeniexMvmActive)
     ->Args({64, 32, 9})
     ->Args({8, 8, 9})
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GeniexMvmActive)
+    ->Args({64, 16, 144})
+    ->Threads(2)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_TiledProgram(benchmark::State& state) {
+  // Programs the weight matrices of one SCIFAR10 ResNet-20 (widths
+  // 8/16/32: 22 conv/linear layers, 244 tile slots) onto 64x64_100k GENIEx
+  // crossbars — the work the first forward after each deployment does.
+  // Arg: thread-pool size. Milliseconds per network land in the run
+  // manifest as bench/tiled/program_resnet20_t<threads>_ms.
+  struct Shape {
+    std::int64_t m, k, count;
+  };
+  static const Shape kShapes[] = {
+      {8, 27, 1},  {8, 72, 6},   {16, 72, 1}, {16, 144, 5}, {16, 8, 1},
+      {32, 144, 1}, {32, 288, 5}, {32, 16, 1}, {10, 32, 1}};
+  std::shared_ptr<const xbar::MvmModel> model = xbar::make_geniex("64x64_100k");
+  Rng rng(10);
+  std::vector<Tensor> weights;
+  for (const Shape& s : kShapes)
+    for (std::int64_t i = 0; i < s.count; ++i)
+      weights.push_back(Tensor::normal({s.m, s.k}, 0.0f, 0.1f, rng));
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  ThreadPool::ScopedUse use(pool);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state)
+    for (const Tensor& w : weights)
+      benchmark::DoNotOptimize(puma::TiledMatrix(w, model, puma::HwConfig{}));
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  if (state.iterations() == 0) return;
+  std::ostringstream name;
+  name << "bench/tiled/program_resnet20_t" << state.range(0) << "_ms";
+  metrics::gauge(name.str())
+      .set(dt.count() * 1e3 / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_TiledProgram)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 Tensor bench_vblock(const xbar::CrossbarConfig& cfg, std::int64_t n) {
   Rng rng(8);

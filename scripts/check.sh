@@ -331,16 +331,18 @@ if command -v python3 >/dev/null 2>&1; then
 fi
 
 # Concurrency under ThreadSanitizer: the suites that drive the thread pool,
-# the parallel tiled matmul and its plans, the serving scheduler and
-# cluster, telemetry rings, trace spans and the fleet simulator. Only those
-# test binaries are built in the tsan tree; ctest fails on any reported
-# race (TSan exits nonzero) or if the filter matches nothing.
+# the sharded metrics counters, the parallel tiled matmul and its plans,
+# parallel tile programming and the lazily programmed GENIEx fallback, the
+# serving scheduler and cluster, telemetry rings, trace spans and the fleet
+# simulator. Only those test binaries are built in the tsan tree; ctest
+# fails on any reported race (TSan exits nonzero) or if the filter matches
+# nothing.
 echo "== sanitizer: concurrent suites under TSan =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS" --target test_thread_pool test_simd \
   test_ir_plan test_serve test_serve_cluster test_telemetry test_metrics \
-  test_fleet
+  test_fleet test_xbar_geniex test_hw_semantics
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" --no-tests=error \
-  -R '^(ThreadPool|TiledMatmul|PlanTest|Serve|ServeCluster|TelemetryTest|Trace|FleetChip|FleetSim|Scheduler|Sla)\.'
+  -R '^((ThreadPool|Metrics|TiledMatmul|PlanTest|Serve|ServeCluster|TelemetryTest|Trace|FleetChip|FleetSim|Scheduler|Sla)\.|HwSemantics\.TiledProgrammingBitIdenticalAcrossThreadCounts$|Geniex\.LazyFallbackProgrammedOnceUnderConcurrentTrips$)'
 
 echo "== all checks passed =="

@@ -52,6 +52,11 @@ SPECS = [
     # 64 rows x 16 columns active, 144 samples).
     ("BENCH_mvm_perf.json", "metrics",
      "bench/geniex/active_r64_c16_n144_us", "lower", 0.50),
+    # Programming one ResNet-20's tile slots onto 64x64 GENIEx crossbars on
+    # a 2-thread pool (BM_TiledProgram/2): the first-forward cost of every
+    # deployment.
+    ("BENCH_mvm_perf.json", "metrics",
+     "bench/tiled/program_resnet20_t2_ms", "lower", 0.50),
     # Fused execution plans: the plan path must beat the interpreter by
     # >= 1.2x on the batched fast-noise matmul — a structural floor, not a
     # baseline comparison, so a landed fusion can never silently regress

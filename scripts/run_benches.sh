@@ -35,10 +35,12 @@ run cost_model "$BUILD/bench/bench_cost_model"
 # plus bench/simd/gflops from the widest ideal block), the solver
 # warm-start A/B (sweeps_per_matmul with streaming off/on), and the
 # red-black vs lexicographic sweep-schedule A/B, and the execution-plan
-# interpreter-vs-fused A/B (bench/plan/tiled_matmul_speedup), and the
-# GENIEx evaluation over ResNet-20 tile shapes (bench/geniex/active_*_us).
+# interpreter-vs-fused A/B (bench/plan/tiled_matmul_speedup), the
+# GENIEx evaluation over ResNet-20 tile shapes (bench/geniex/active_*_us,
+# one row also on two concurrent threads), and programming a ResNet-20's
+# tiles at 1 and 2 threads (bench/tiled/program_resnet20_t*_ms).
 run mvm_perf "$BUILD/bench/bench_mvm_perf" \
-  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/0|BM_TiledMatmulPlan|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverOrdering|BM_GeniexMvmActive' \
+  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/0|BM_TiledMatmulPlan|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverOrdering|BM_GeniexMvmActive|BM_TiledProgram' \
   --benchmark_min_time=0.05
 # Serving layer: throughput + exact p50/p99 latency at 2 offered loads and
 # saturation, max_batch 1 vs 32; exits nonzero if batching fails to beat
