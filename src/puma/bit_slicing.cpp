@@ -12,13 +12,6 @@ std::int64_t slice_count(std::int64_t value_bits, std::int64_t chunk_bits) {
   return (value_bits + chunk_bits - 1) / chunk_bits;
 }
 
-Tensor extract_chunk(const Tensor& values, std::int64_t index,
-                     std::int64_t chunk_bits) {
-  Tensor out(values.shape());
-  extract_chunk_into(values.data(), index, chunk_bits, out.data());
-  return out;
-}
-
 float extract_chunk_into(std::span<const float> src, std::int64_t index,
                          std::int64_t chunk_bits, std::span<float> dst) {
   NVM_CHECK(index >= 0 && chunk_bits >= 1 && chunk_bits < 31);

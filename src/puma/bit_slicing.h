@@ -18,13 +18,10 @@ namespace nvm::puma {
 std::int64_t slice_count(std::int64_t value_bits, std::int64_t chunk_bits);
 
 /// Extracts chunk `index` (little-endian: index 0 = least significant)
-/// of `chunk_bits` bits from every non-negative integer-valued element.
-Tensor extract_chunk(const Tensor& values, std::int64_t index,
-                     std::int64_t chunk_bits);
-
-/// Allocation-free extract_chunk into caller scratch: dst must have
-/// src.size() elements. Returns the maximum chunk value, so callers can
-/// skip all-zero chunks without a second pass.
+/// of `chunk_bits` bits from every non-negative integer-valued element of
+/// `src` into caller scratch `dst` (src.size() elements). Returns the
+/// maximum chunk value, so callers can skip all-zero chunks without a
+/// second pass.
 float extract_chunk_into(std::span<const float> src, std::int64_t index,
                          std::int64_t chunk_bits, std::span<float> dst);
 

@@ -107,7 +107,6 @@ TiledMatrix::TiledMatrix(const Tensor& w,
   tiles_.resize(static_cast<std::size_t>(slots));
   if (int_gates_ok_ && model_->is_ideal()) wchunks_.resize(tiles_.size());
   const float* pq = qw.q.raw();  // (M x K)
-  const std::int64_t chunk_mask = (std::int64_t{1} << hw_.slice_bits) - 1;
   parallel_for(slots, [&](std::int64_t slot) {
     const std::int64_t s = slot % slices;
     const std::int64_t q = slot / slices;
@@ -118,35 +117,30 @@ TiledMatrix::TiledMatrix(const Tensor& w,
     const std::int64_t k_used = std::min(k_, k0 + cfg.rows) - k0;
     const std::int64_t m0 = tj * cfg.cols;
     const std::int64_t m_used = std::min(m_, m0 + cfg.cols) - m0;
-    const std::int64_t shift = s * hw_.slice_bits;
+
+    std::vector<float> mag(static_cast<std::size_t>(k_used * m_used));
+    for (std::int64_t kk = 0; kk < k_used; ++kk)
+      for (std::int64_t mm = 0; mm < m_used; ++mm) {
+        const float w = pq[(m0 + mm) * k_ + k0 + kk];
+        mag[static_cast<std::size_t>(kk * m_used + mm)] =
+            negative ? std::max(-w, 0.0f) : std::max(w, 0.0f);
+      }
+    std::vector<float> chunk(mag.size());
+    const float cmax = extract_chunk_into(mag, s, hw_.slice_bits, chunk);
+    if (hw_.skip_zero_tiles && cmax == 0.0f) return;
 
     Tensor g = Tensor::full({cfg.rows, cfg.cols}, g_off);
     float* pg = g.raw();
-    std::vector<std::int8_t> w8;
-    if (!wchunks_.empty())
-      w8.resize(static_cast<std::size_t>(k_used * m_used));
-    bool any = false;
-    for (std::int64_t kk = 0; kk < k_used; ++kk) {
-      for (std::int64_t mm = 0; mm < m_used; ++mm) {
-        // Slice s of this polarity's integer magnitude (extract_chunk's
-        // arithmetic, inlined).
-        const float w = pq[(m0 + mm) * k_ + k0 + kk];
-        const float mag = negative ? std::max(-w, 0.0f) : std::max(w, 0.0f);
-        const std::int64_t chunk =
-            (static_cast<std::int64_t>(std::llround(mag)) >> shift) &
-            chunk_mask;
-        any = any || chunk != 0;
-        pg[kk * cfg.cols + mm] = g_off + g_unit * static_cast<float>(chunk);
-        if (!w8.empty())
-          w8[static_cast<std::size_t>(kk * m_used + mm)] =
-              static_cast<std::int8_t>(chunk);
-      }
-    }
-    if (hw_.skip_zero_tiles && !any) return;
+    for (std::int64_t kk = 0; kk < k_used; ++kk)
+      for (std::int64_t mm = 0; mm < m_used; ++mm)
+        pg[kk * cfg.cols + mm] =
+            g_off + g_unit * chunk[static_cast<std::size_t>(kk * m_used + mm)];
     tiles_[static_cast<std::size_t>(slot)] = model_->program(g);
     // Same chunk values as the programmed conductances, kept as int8 for
     // the fully-digital int path.
-    if (!wchunks_.empty()) wchunks_[static_cast<std::size_t>(slot)] = std::move(w8);
+    if (!wchunks_.empty())
+      wchunks_[static_cast<std::size_t>(slot)].assign(chunk.begin(),
+                                                      chunk.end());
   });
   programmed_count_ = static_cast<std::int64_t>(
       std::count_if(tiles_.begin(), tiles_.end(),

@@ -55,27 +55,26 @@ float MlpRegressor::predict(std::span<const float> features) const {
 
 void MlpRegressor::predict_block(const float* features_t, std::int64_t n,
                                  float* out) const {
-  // Whole-block forward through the gemm microtiles of the active simd
-  // tier: hid = b1 + W1 * F, tanh, out = b2 + w2 * act — two gemm_accum
-  // calls instead of a per-hidden-row madd sweep, so the hidden layer
-  // runs 4xW broadcast-FMA microtiles (W = the tier's lane count).
+  // Whole-block forward through the fused simd::mlp_tanh_accum kernel of
+  // the active tier: out = b2 + w2 . tanh(b1 + W1 * F), each hidden unit
+  // kept in registers (the first layer runs the gemm kernels' broadcast-FMA
+  // body, W = the tier's lane count).
   //
   // Columns are padded to a multiple of 16 (one AVX-512 vector; a whole
-  // number of AVX2/NEON vectors): the gemm kernels handle remainder
-  // columns with an unfused scalar tail, so without padding a sample's
-  // result would depend on its position within the block and therefore on
-  // the batch width n. With every real column inside the vector FMA body,
+  // number of AVX2/NEON vectors): the kernel handles remainder columns
+  // with an unfused scalar tail, so without padding a sample's result
+  // would depend on its position within the block and therefore on the
+  // batch width n. With every real column inside the vector FMA body,
   // out[s] is invariant to n (GENIEx's evaluation pads the same way for
   // the same reason) and the vector tiers agree bit-for-bit with each
   // other (per column the FMA chain is lane-width-independent); only the
   // scalar tier differs, by the documented gemm [~ulp] bound.
   constexpr std::int64_t kPad = kMlpSamplePad;
   const std::int64_t np = (n + kPad - 1) / kPad * kPad;
-  const float* w1 = w1_.raw();
   simd::WorkspacePool::Lease lease = simd::shared_workspace_pool().acquire();
   simd::Workspace& ws = lease.get();
   std::span<float> fp = ws.floats(0, static_cast<std::size_t>(in_dim_ * np));
-  std::span<float> hid = ws.floats(1, static_cast<std::size_t>(hidden_ * np));
+  std::span<float> h0 = ws.floats(1, static_cast<std::size_t>(hidden_ * np));
   std::span<float> op = ws.floats(2, static_cast<std::size_t>(np));
 
   // Stage features into the padded block; padding columns are zeroed so
@@ -86,13 +85,10 @@ void MlpRegressor::predict_block(const float* features_t, std::int64_t n,
     std::fill(row + n, row + np, 0.0f);
   }
   for (std::int64_t h = 0; h < hidden_; ++h)
-    std::fill(hid.data() + h * np, hid.data() + (h + 1) * np, b1_[h]);
-  simd::gemm_accum(hid.data(), w1, fp.data(), hidden_, np, in_dim_, in_dim_,
-                   np, np);
-  simd::tanh_block(hid.data(), hidden_ * np);
+    std::fill(h0.data() + h * np, h0.data() + (h + 1) * np, b1_[h]);
   std::fill(op.data(), op.data() + np, b2_[0]);
-  simd::gemm_accum(op.data(), w2_.raw(), hid.data(), 1, np, hidden_, hidden_,
-                   np, np);
+  simd::mlp_tanh_accum(op.data(), h0.data(), w1_.raw(), fp.data(), w2_.raw(),
+                       hidden_, np, in_dim_, np, in_dim_, np);
   std::copy(op.data(), op.data() + n, out);
 }
 

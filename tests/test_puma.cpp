@@ -68,7 +68,10 @@ TEST_P(BitSlicing, ChunksReconstructValue) {
     v = static_cast<float>(rng.uniform_index(max_val + 1));
   Tensor recon({32});
   for (std::int64_t c = 0; c < n_chunks; ++c) {
-    Tensor chunk = extract_chunk(values, c, chunk_bits);
+    Tensor chunk({32});
+    const float cmax =
+        extract_chunk_into(values.data(), c, chunk_bits, chunk.data());
+    EXPECT_EQ(cmax, chunk.max());
     EXPECT_LE(chunk.max(), static_cast<float>((1 << chunk_bits) - 1));
     recon.add_scaled(chunk, chunk_weight(c, chunk_bits));
   }
@@ -82,7 +85,8 @@ INSTANTIATE_TEST_SUITE_P(Widths, BitSlicing,
 
 TEST(BitSlicing, NegativeValueRejected) {
   Tensor v({1}, {-1.0f});
-  EXPECT_THROW(extract_chunk(v, 0, 2), CheckError);
+  Tensor out({1});
+  EXPECT_THROW(extract_chunk_into(v.data(), 0, 2, out.data()), CheckError);
 }
 
 xbar::CrossbarConfig test_cfg() {
