@@ -138,7 +138,7 @@ void gemm_bt_accum(float* c, const float* a, const float* b, std::int64_t m,
 /// on the same tier, scalar tails included, so it is bit-identical to that
 /// composition on every tier; across tiers it inherits gemm's [~ulp]
 /// class. (The GENIEx crossbar surrogate's first layer, tanh and output
-/// layer, DESIGN.md §6.)
+/// layer, DESIGN.md §11.)
 void mlp_tanh_accum(float* y, const float* h0, const float* a, const float* x,
                     const float* w2, std::int64_t hidden, std::int64_t n,
                     std::int64_t k, std::int64_t ldh, std::int64_t lda,

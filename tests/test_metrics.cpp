@@ -160,7 +160,8 @@ TEST(Metrics, CountersExactUnderConcurrentAdds) {
   const auto before = metrics::snapshot();
   // More threads than shards, so some threads share a shard; sums must
   // stay exact either way.
-  constexpr int kThreads = 2 * static_cast<int>(metrics::Counter::kShards) + 3;
+  constexpr int kThreads =
+      2 * static_cast<int>(metrics::Counter::kShards) + 3;
   constexpr int kAdds = 5000;
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t)
@@ -175,8 +176,9 @@ TEST(Metrics, CountersExactUnderConcurrentAdds) {
     last = now;
   }
   for (auto& t : ts) t.join();
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(kAdds) * ((kThreads + 1) / 2 * 1 + kThreads / 2 * 2);
+  // Even-numbered threads add 1 per call, odd-numbered ones 2.
+  const std::uint64_t expected = static_cast<std::uint64_t>(kAdds) *
+                                 ((kThreads + 1) / 2 + 2 * (kThreads / 2));
   EXPECT_EQ(c.value(), expected);
 
   const auto d = metrics::delta(metrics::snapshot(), before);

@@ -439,7 +439,8 @@ TEST(SimdParity, MlpTanhAccumWithinGemmBoundAcrossIsas) {
           for (std::int64_t j = 0; j < n; ++j) {
             double out_terms = std::abs(c.y0[static_cast<std::size_t>(j)]);
             for (std::int64_t h = 0; h < hidden; ++h) {
-              double pre_terms = std::abs(c.h0[static_cast<std::size_t>(h * c.ldh + j)]);
+              double pre_terms =
+                  std::abs(c.h0[static_cast<std::size_t>(h * c.ldh + j)]);
               for (std::int64_t f = 0; f < k; ++f)
                 pre_terms +=
                     std::abs(c.a[static_cast<std::size_t>(h * c.lda + f)] *
