@@ -6,8 +6,10 @@
 // Parity rules mirrored from simd.h: [exact] kernels use the same
 // unfused mul/add sequence as the scalar reference in simd.cpp; [~ulp]
 // kernels (dot, axpy, gemm, gemm_at, gemm_bt) use FMA in the vector body.
-// Scalar tail loops in this TU are unfused like the reference (the whole
-// build carries -ffp-contract=off; FMA only appears via intrinsics).
+// Tail lanes (past the last full vector) are unfused like the reference:
+// scalar loops, or in the gemm microtiles one masked vector of mul then
+// add (the whole build carries -ffp-contract=off; FMA only appears via
+// intrinsics).
 #include "common/simd_kernels.h"
 
 #ifdef NVM_SIMD_AVX2_TU
@@ -122,8 +124,16 @@ void tanh_block_avx2(float* x, std::int64_t n) {
 
 namespace {
 
+/// Load/store mask of the first `lanes` (1..7) of an 8-float vector.
+inline __m256i tail_mask(std::int64_t lanes) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
 /// One output row of C += A*B style accumulation: crow[j] accumulates
 /// coef(kk) * b[kk*ldb + j] sequentially over kk, FMA in the vector body.
+/// The lanes past the last full vector run as one masked vector with an
+/// unfused mul then add, the scalar reference's op per lane.
 template <typename Coef>
 inline void gemm_row_fma(float* crow, const float* b, std::int64_t n,
                          std::int64_t k, std::int64_t ldb, Coef coef) {
@@ -135,15 +145,19 @@ inline void gemm_row_fma(float* crow, const float* b, std::int64_t n,
                             _mm256_loadu_ps(b + kk * ldb + j0), acc);
     _mm256_storeu_ps(crow + j0, acc);
   }
-  for (std::int64_t j = n8; j < n; ++j) {
-    float acc = crow[j];
-    for (std::int64_t kk = 0; kk < k; ++kk) acc += coef(kk) * b[kk * ldb + j];
-    crow[j] = acc;
-  }
+  if (n8 == n) return;
+  const __m256i tail = tail_mask(n - n8);
+  __m256 acc = _mm256_maskload_ps(crow + n8, tail);
+  for (std::int64_t kk = 0; kk < k; ++kk)
+    acc = _mm256_add_ps(
+        acc, _mm256_mul_ps(_mm256_set1_ps(coef(kk)),
+                           _mm256_maskload_ps(b + kk * ldb + n8, tail)));
+  _mm256_maskstore_ps(crow + n8, tail, acc);
 }
 
 /// 4x8 microtile: four independent FMA chains over k for ILP. `coef(r,kk)`
 /// yields the A element for microtile row r at reduction index kk.
+/// Tail lanes as in gemm_row_fma, four masked chains sharing each B load.
 template <typename Coef>
 inline void gemm_tile4_fma(float* c, const float* b, std::int64_t n,
                            std::int64_t k, std::int64_t ldb, std::int64_t ldc,
@@ -166,14 +180,23 @@ inline void gemm_tile4_fma(float* c, const float* b, std::int64_t n,
     _mm256_storeu_ps(c + 2 * ldc + j0, acc2);
     _mm256_storeu_ps(c + 3 * ldc + j0, acc3);
   }
-  for (std::int64_t j = n8; j < n; ++j) {
-    for (int r = 0; r < 4; ++r) {
-      float acc = c[r * ldc + j];
-      for (std::int64_t kk = 0; kk < k; ++kk)
-        acc += coef(r, kk) * b[kk * ldb + j];
-      c[r * ldc + j] = acc;
-    }
+  if (n8 == n) return;
+  const __m256i tail = tail_mask(n - n8);
+  __m256 acc0 = _mm256_maskload_ps(c + 0 * ldc + n8, tail);
+  __m256 acc1 = _mm256_maskload_ps(c + 1 * ldc + n8, tail);
+  __m256 acc2 = _mm256_maskload_ps(c + 2 * ldc + n8, tail);
+  __m256 acc3 = _mm256_maskload_ps(c + 3 * ldc + n8, tail);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const __m256 bv = _mm256_maskload_ps(b + kk * ldb + n8, tail);
+    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_set1_ps(coef(0, kk)), bv));
+    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_set1_ps(coef(1, kk)), bv));
+    acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_set1_ps(coef(2, kk)), bv));
+    acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_set1_ps(coef(3, kk)), bv));
   }
+  _mm256_maskstore_ps(c + 0 * ldc + n8, tail, acc0);
+  _mm256_maskstore_ps(c + 1 * ldc + n8, tail, acc1);
+  _mm256_maskstore_ps(c + 2 * ldc + n8, tail, acc2);
+  _mm256_maskstore_ps(c + 3 * ldc + n8, tail, acc3);
 }
 
 }  // namespace
@@ -197,7 +220,7 @@ void mlp_tanh_accum_avx2(float* y, const float* h0, const float* a,
                          std::int64_t n, std::int64_t k, std::int64_t ldh,
                          std::int64_t lda, std::int64_t ldx) {
   // Lanes below n8 take gemm_avx2's FMA body in both layers, the rest its
-  // unfused scalar tail; tanh is exact either way.
+  // unfused tail's ops (here one lane at a time); tanh is exact either way.
   const std::int64_t n8 = n & ~std::int64_t{7};
   for (std::int64_t j0 = 0; j0 < n8; j0 += 8) {
     __m256 yv = _mm256_loadu_ps(y + j0);

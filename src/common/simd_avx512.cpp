@@ -11,9 +11,10 @@
 // gemm_bt) use FMA in the vector body, and dot folds its 16 lanes
 // pairwise onto the documented 8-lane tree. gemm_f64acc stays [exact]:
 // float*float products are exact in double, so fmadd_pd rounds like the
-// reference's mul-then-add. Scalar tail loops in this TU are unfused like
-// the reference (the whole build carries -ffp-contract=off; FMA only
-// appears via intrinsics).
+// reference's mul-then-add. Tail lanes (past the last full vector) are
+// unfused like the reference: scalar loops, or in the gemm microtiles one
+// masked vector of mul then add (the whole build carries
+// -ffp-contract=off; FMA only appears via intrinsics).
 #include "common/simd_kernels.h"
 
 #ifdef NVM_SIMD_AVX512_TU
@@ -131,8 +132,15 @@ void tanh_block_avx512(float* x, std::int64_t n) {
 
 namespace {
 
+/// Mask of the first `lanes` (1..15) of a 16-float vector.
+inline __mmask16 tail_mask(std::int64_t lanes) {
+  return static_cast<__mmask16>((1u << lanes) - 1u);
+}
+
 /// One output row of C += A*B style accumulation: crow[j] accumulates
 /// coef(kk) * b[kk*ldb + j] sequentially over kk, FMA in the vector body.
+/// The lanes past the last full vector run as one masked vector with an
+/// unfused mul then add, the scalar reference's op per lane.
 template <typename Coef>
 inline void gemm_row_fma(float* crow, const float* b, std::int64_t n,
                          std::int64_t k, std::int64_t ldb, Coef coef) {
@@ -144,15 +152,19 @@ inline void gemm_row_fma(float* crow, const float* b, std::int64_t n,
                             _mm512_loadu_ps(b + kk * ldb + j0), acc);
     _mm512_storeu_ps(crow + j0, acc);
   }
-  for (std::int64_t j = n16; j < n; ++j) {
-    float acc = crow[j];
-    for (std::int64_t kk = 0; kk < k; ++kk) acc += coef(kk) * b[kk * ldb + j];
-    crow[j] = acc;
-  }
+  if (n16 == n) return;
+  const __mmask16 tail = tail_mask(n - n16);
+  __m512 acc = _mm512_maskz_loadu_ps(tail, crow + n16);
+  for (std::int64_t kk = 0; kk < k; ++kk)
+    acc = _mm512_add_ps(
+        acc, _mm512_mul_ps(_mm512_set1_ps(coef(kk)),
+                           _mm512_maskz_loadu_ps(tail, b + kk * ldb + n16)));
+  _mm512_mask_storeu_ps(crow + n16, tail, acc);
 }
 
 /// 4x16 microtile: four independent FMA chains over k for ILP. `coef(r,kk)`
-/// yields the A element for microtile row r at reduction index kk.
+/// yields the A element for microtile row r at reduction index kk. Tail
+/// lanes as in gemm_row_fma, four masked chains sharing each B load.
 template <typename Coef>
 inline void gemm_tile4_fma(float* c, const float* b, std::int64_t n,
                            std::int64_t k, std::int64_t ldb, std::int64_t ldc,
@@ -175,14 +187,23 @@ inline void gemm_tile4_fma(float* c, const float* b, std::int64_t n,
     _mm512_storeu_ps(c + 2 * ldc + j0, acc2);
     _mm512_storeu_ps(c + 3 * ldc + j0, acc3);
   }
-  for (std::int64_t j = n16; j < n; ++j) {
-    for (int r = 0; r < 4; ++r) {
-      float acc = c[r * ldc + j];
-      for (std::int64_t kk = 0; kk < k; ++kk)
-        acc += coef(r, kk) * b[kk * ldb + j];
-      c[r * ldc + j] = acc;
-    }
+  if (n16 == n) return;
+  const __mmask16 tail = tail_mask(n - n16);
+  __m512 acc0 = _mm512_maskz_loadu_ps(tail, c + 0 * ldc + n16);
+  __m512 acc1 = _mm512_maskz_loadu_ps(tail, c + 1 * ldc + n16);
+  __m512 acc2 = _mm512_maskz_loadu_ps(tail, c + 2 * ldc + n16);
+  __m512 acc3 = _mm512_maskz_loadu_ps(tail, c + 3 * ldc + n16);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const __m512 bv = _mm512_maskz_loadu_ps(tail, b + kk * ldb + n16);
+    acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_set1_ps(coef(0, kk)), bv));
+    acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(_mm512_set1_ps(coef(1, kk)), bv));
+    acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(_mm512_set1_ps(coef(2, kk)), bv));
+    acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(_mm512_set1_ps(coef(3, kk)), bv));
   }
+  _mm512_mask_storeu_ps(c + 0 * ldc + n16, tail, acc0);
+  _mm512_mask_storeu_ps(c + 1 * ldc + n16, tail, acc1);
+  _mm512_mask_storeu_ps(c + 2 * ldc + n16, tail, acc2);
+  _mm512_mask_storeu_ps(c + 3 * ldc + n16, tail, acc3);
 }
 
 }  // namespace
@@ -207,7 +228,8 @@ void mlp_tanh_accum_avx512(float* y, const float* h0, const float* a,
                            std::int64_t k, std::int64_t ldh, std::int64_t lda,
                            std::int64_t ldx) {
   // Lanes below n16 take gemm_avx512's FMA body in both layers, the rest
-  // its unfused scalar tail; tanh is exact either way.
+  // its unfused tail's ops (here one lane at a time); tanh is exact either
+  // way.
   const std::int64_t n16 = n & ~std::int64_t{15};
   for (std::int64_t j0 = 0; j0 < n16; j0 += 16) {
     __m512 yv = _mm512_loadu_ps(y + j0);

@@ -5,7 +5,8 @@
 // Parity rules mirrored from simd.h: [exact] kernels repeat the scalar
 // reference's unfused per-element op sequence 4 lanes at a time (NEON
 // float ops are IEEE-754 compliant on AArch64); [~ulp] kernels use vfmaq
-// in the vector body; dot uses two float32x4 accumulators so its lane
+// in the vector body and unfused ops in the tail (the gemm tails run as
+// 4-lane vmulq+vaddq, the scalar op per lane); dot uses two float32x4 accumulators so its lane
 // layout matches the documented 8-strided-lane tree exactly. vrndaq_f32
 // rounds half away from zero, which is std::round's semantics, so the
 // quantize/ADC kernels need no floor+frac trick here. gemm_f64acc uses
@@ -112,8 +113,52 @@ void tanh_block_neon(float* x, std::int64_t n) {
 
 namespace {
 
+/// The first `lanes` (1..4) floats at p as one vector. A partial vector
+/// is copied through a zero-padded 4-float buffer, so nothing past
+/// p[lanes-1] is read.
+inline float32x4_t load_lanes(const float* p, std::int64_t lanes) {
+  if (lanes == 4) return vld1q_f32(p);
+  float buf[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  std::copy(p, p + lanes, buf);
+  return vld1q_f32(buf);
+}
+
+/// Stores the first `lanes` (1..4) lanes of v to p.
+inline void store_lanes(float* p, float32x4_t v, std::int64_t lanes) {
+  if (lanes == 4) {
+    vst1q_f32(p, v);
+    return;
+  }
+  float buf[4];
+  vst1q_f32(buf, v);
+  std::copy(buf, buf + lanes, p);
+}
+
+/// Columns [j0, n) of `rows` (1..4) output rows of the gemm tail: 4-lane
+/// vectors with an unfused mul then add, the scalar reference's op per
+/// lane, the last partial vector through load_lanes/store_lanes. Each B
+/// vector is loaded once for all rows.
+template <typename Coef>
+inline void gemm_tail_unfused(float* c, const float* b, std::int64_t j0,
+                              std::int64_t n, std::int64_t k,
+                              std::int64_t ldb, std::int64_t ldc, int rows,
+                              Coef coef) {
+  for (std::int64_t j = j0; j < n; j += 4) {
+    const std::int64_t lanes = std::min<std::int64_t>(4, n - j);
+    float32x4_t acc[4];
+    for (int r = 0; r < rows; ++r) acc[r] = load_lanes(c + r * ldc + j, lanes);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float32x4_t bv = load_lanes(b + kk * ldb + j, lanes);
+      for (int r = 0; r < rows; ++r)
+        acc[r] = vaddq_f32(acc[r], vmulq_f32(vdupq_n_f32(coef(r, kk)), bv));
+    }
+    for (int r = 0; r < rows; ++r) store_lanes(c + r * ldc + j, acc[r], lanes);
+  }
+}
+
 /// One output row of C += A*B style accumulation: crow[j] accumulates
-/// coef(kk) * b[kk*ldb + j] sequentially over kk, FMA in the vector body.
+/// coef(kk) * b[kk*ldb + j] sequentially over kk, FMA in the vector body,
+/// the <= 3 tail lanes through gemm_tail_unfused.
 template <typename Coef>
 inline void gemm_row_fma(float* crow, const float* b, std::int64_t n,
                          std::int64_t k, std::int64_t ldb, Coef coef) {
@@ -125,14 +170,12 @@ inline void gemm_row_fma(float* crow, const float* b, std::int64_t n,
                       vld1q_f32(b + kk * ldb + j0));
     vst1q_f32(crow + j0, acc);
   }
-  for (std::int64_t j = n4; j < n; ++j) {
-    float acc = crow[j];
-    for (std::int64_t kk = 0; kk < k; ++kk) acc += coef(kk) * b[kk * ldb + j];
-    crow[j] = acc;
-  }
+  gemm_tail_unfused(crow, b, n4, n, k, ldb, 0, 1,
+                    [&](int, std::int64_t kk) { return coef(kk); });
 }
 
-/// 4x8 microtile: four rows, two vectors per row, independent FMA chains.
+/// 4x8 microtile: four rows, two vectors per row, independent FMA chains;
+/// the <= 7 tail lanes through gemm_tail_unfused.
 template <typename Coef>
 inline void gemm_tile4_fma(float* c, const float* b, std::int64_t n,
                            std::int64_t k, std::int64_t ldb, std::int64_t ldc,
@@ -172,14 +215,7 @@ inline void gemm_tile4_fma(float* c, const float* b, std::int64_t n,
     vst1q_f32(c + 3 * ldc + j0, a30);
     vst1q_f32(c + 3 * ldc + j0 + 4, a31);
   }
-  for (std::int64_t j = n8; j < n; ++j) {
-    for (int r = 0; r < 4; ++r) {
-      float acc = c[r * ldc + j];
-      for (std::int64_t kk = 0; kk < k; ++kk)
-        acc += coef(r, kk) * b[kk * ldb + j];
-      c[r * ldc + j] = acc;
-    }
-  }
+  gemm_tail_unfused(c, b, n8, n, k, ldb, ldc, 4, coef);
 }
 
 }  // namespace
@@ -205,7 +241,8 @@ void mlp_tanh_accum_neon(float* y, const float* h0, const float* a,
   // gemm_neon's lane split, per layer: its 4-row microtiles (hidden units
   // below m4) vectorize samples below n8, its single rows (the other
   // units, and the m=1 output layer) samples below n4; everything else
-  // runs the unfused scalar tail. tanh is exact either way.
+  // gets the unfused tail's ops, here one lane at a time. tanh is exact
+  // either way.
   const std::int64_t n4 = n & ~std::int64_t{3};
   const std::int64_t n8 = n & ~std::int64_t{7};
   const std::int64_t m4 = hidden & ~std::int64_t{3};

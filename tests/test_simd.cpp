@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -308,6 +309,70 @@ TEST(SimdKernels, MlpTanhAccumMatchesComposedKernelsExactly) {
               << " n=" << n;
         }
       }
+}
+
+/// First column of each gemm row that a vector tier runs in its tail (past
+/// the last full vector): 4-row microtiles (rows below m & ~3) vectorize
+/// W_tile lanes at a time, single rows W_row. NEON's microtiles are 4x8
+/// but its single rows 4 wide.
+std::int64_t gemm_tail_start(simd::Isa isa, std::int64_t row, std::int64_t m,
+                             std::int64_t n) {
+  const bool in_tile = row < (m & ~std::int64_t{3});
+  std::int64_t w = 8;
+  if (isa == simd::Isa::Avx512) w = 16;
+  if (isa == simd::Isa::Neon && !in_tile) w = 4;
+  return n & ~(w - 1);
+}
+
+std::uint32_t float_bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+/// The gemm tails keep the scalar reference's op per lane (an unfused mul
+/// then add, DESIGN.md §11) however they are vectorized, so every tail lane
+/// equals the scalar tier bit for bit — zero coefficients (which the
+/// scalar tier skips) included. Padding past n in C must stay untouched.
+TEST(SimdKernels, GemmTailLanesMatchScalarTierExactly) {
+  Rng rng(25);
+  const std::int64_t k = 37;
+  std::vector<std::int64_t> ns;
+  for (std::int64_t n = 1; n <= 17; ++n) ns.push_back(n);
+  for (std::int64_t n : {36, 47}) ns.push_back(n);
+  std::int64_t tail_lanes = 0;
+  for (bool at : {false, true})
+    for (std::int64_t m : {1, 3, 4, 5, 32})
+      for (std::int64_t n : ns) {
+        const std::int64_t lda = (at ? m : k) + 1, ldb = n + 2, ldc = n + 3;
+        std::vector<float> a = random_vec((at ? k : m) * lda, rng);
+        for (float& v : a)
+          if (rng.bernoulli(0.2)) v = 0.0f;
+        const std::vector<float> b = random_vec(k * ldb, rng);
+        const std::vector<float> c0 = random_vec(m * ldc, rng, 0.5, 1.5);
+        auto run = [&](simd::Isa isa) {
+          simd::ScopedIsaForTests scope(isa);
+          std::vector<float> c = c0;
+          (at ? simd::gemm_at_accum : simd::gemm_accum)(
+              c.data(), a.data(), b.data(), m, n, k, lda, ldb, ldc);
+          return c;
+        };
+        const std::vector<float> ref = run(simd::Isa::Scalar);
+        for (simd::Isa isa : vector_isas()) {
+          const std::vector<float> c = run(isa);
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = gemm_tail_start(isa, i, m, n); j < n; ++j) {
+              ++tail_lanes;
+              EXPECT_EQ(float_bits(c[i * ldc + j]), float_bits(ref[i * ldc + j]))
+                  << simd::isa_name(isa) << (at ? " gemm_at" : " gemm")
+                  << " m=" << m << " n=" << n << " (" << i << "," << j << ")";
+            }
+            for (std::int64_t j = n; j < ldc; ++j)
+              EXPECT_EQ(float_bits(c[i * ldc + j]), float_bits(c0[i * ldc + j]))
+                  << simd::isa_name(isa) << " wrote padding at (" << i << ","
+                  << j << ")";
+          }
+        }
+      }
+  if (!vector_isas().empty()) {
+    EXPECT_GT(tail_lanes, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
