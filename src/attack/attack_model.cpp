@@ -15,11 +15,8 @@ Tensor NetworkAttackModel::loss_input_grad(const Tensor& x,
   Tensor out = net_->forward(x, nn::Mode::Eval);
   nn::LossGrad lg = nn::cross_entropy(out, label);
   if (loss_out != nullptr) *loss_out = lg.loss;
-  // Parameter grads accumulate too; attacks never step them, but clear to
-  // keep the network reusable for training afterwards.
-  Tensor gx = net_->backward(lg.grad_logits);
-  net_->zero_grads();
-  return gx;
+  // Input-only after the Eval forward: parameter grads stay untouched.
+  return net_->backward(lg.grad_logits);
 }
 
 EnsembleAttackModel::EnsembleAttackModel(std::vector<nn::Network*> members)
@@ -46,7 +43,6 @@ Tensor EnsembleAttackModel::loss_input_grad(const Tensor& x,
     nn::LossGrad lg = nn::cross_entropy(out, label);
     total_loss += lg.loss;
     Tensor gx = members_[i]->backward(lg.grad_logits);
-    members_[i]->zero_grads();
     if (i == 0) {
       grad = std::move(gx);
     } else {

@@ -47,6 +47,7 @@ class Conv2d final : public Layer {
   // backward() caches
   ConvGeom geom_{};
   Tensor cached_cols_;  // im2col of last input
+  Mode last_mode_ = Mode::Train;  // Eval: backward leaves weight_.grad alone
 };
 
 }  // namespace nvm::nn

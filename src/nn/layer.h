@@ -5,6 +5,9 @@
 // backward(grad_out) -> grad_in, accumulating parameter gradients into
 // Param::grad. Chaining backward() through the first layer yields
 // d(loss)/d(input), which is what gradient-based attacks (PGD) consume.
+// Each layer records the mode of its last forward(): a backward after an
+// Eval forward computes only that input gradient and leaves Param::grad
+// alone, so an attack query costs no weight-gradient work.
 //
 // Hardware-in-loop gradients (paper §III-C2) fall out of this design: when
 // a layer's MVM runs on a non-ideal crossbar engine, forward() caches the
@@ -45,8 +48,10 @@ class Layer {
   /// Computes the layer output; caches state required by backward().
   virtual Tensor forward(const Tensor& x, Mode mode) = 0;
 
-  /// Propagates gradients; must follow a forward() in Train-compatible
-  /// state. Accumulates into parameter grads and returns grad w.r.t. input.
+  /// Propagates gradients; must follow a forward(). After a Train forward
+  /// it accumulates into parameter grads and returns grad w.r.t. input.
+  /// After an Eval forward it is input-only: it returns grad w.r.t. input
+  /// and leaves every Param::grad untouched (what attacks query).
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
   /// Trainable parameters (empty for stateless layers).

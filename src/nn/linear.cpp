@@ -26,6 +26,7 @@ void Linear::set_engine(std::shared_ptr<MvmEngine> engine) {
 Tensor Linear::forward(const Tensor& x, Mode mode) {
   NVM_CHECK_EQ(x.numel(), in_f_);
   cached_in_ = x.reshaped({in_f_});
+  last_mode_ = mode;
   Tensor y = engine_->matmul(weight_.value, cached_in_.reshaped({in_f_, 1}));
   y.reshape({out_f_});
   y += bias_.value;
@@ -35,9 +36,12 @@ Tensor Linear::forward(const Tensor& x, Mode mode) {
 Tensor Linear::backward(const Tensor& grad_out) {
   NVM_CHECK(cached_in_.numel() > 0, "backward before forward");
   Tensor g = grad_out.reshaped({out_f_});
-  bias_.grad += g;
-  // dW = g x^T
-  weight_.grad += matmul(g.reshaped({out_f_, 1}), cached_in_.reshaped({1, in_f_}));
+  if (last_mode_ == Mode::Train) {
+    bias_.grad += g;
+    // dW = g x^T
+    weight_.grad +=
+        matmul(g.reshaped({out_f_, 1}), cached_in_.reshaped({1, in_f_}));
+  }
   // dx = W^T g
   return matvec(transpose2d(weight_.value), g);
 }

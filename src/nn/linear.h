@@ -31,6 +31,7 @@ class Linear final : public Layer {
   Param bias_;    // (out)
   std::shared_ptr<MvmEngine> engine_;
   Tensor cached_in_;
+  Mode last_mode_ = Mode::Train;  // Eval: backward leaves the grads alone
 };
 
 }  // namespace nvm::nn

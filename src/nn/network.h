@@ -26,7 +26,8 @@ class Network {
   Tensor forward(const Tensor& x, Mode mode);
 
   /// Backward pass from d(loss)/d(logits); returns d(loss)/d(input).
-  /// Must follow a forward() call.
+  /// Must follow a forward() call; after an Eval forward it is input-only
+  /// (parameter grads untouched, see Layer::backward).
   Tensor backward(const Tensor& grad_logits);
 
   const std::string& arch() const { return arch_; }

@@ -246,6 +246,33 @@ TEST(NetworkModel, GradLeavesParamsClean) {
   for (nn::Param* p : net.params()) EXPECT_EQ(p->grad.abs_max(), 0.0f);
 }
 
+/// Attack queries run a backward after an Eval forward, which is
+/// input-only: grads a caller accumulated (here a sentinel) survive both a
+/// network model's and an ensemble model's loss_input_grad.
+TEST(NetworkModel, InputGradLeavesParamGradsUntouched) {
+  Rng rng(9);
+  nn::ResnetCifarSpec spec;
+  spec.blocks_per_stage = 1;
+  spec.widths = {4, 4, 4};
+  spec.num_classes = 3;
+  nn::Network a = nn::make_resnet_cifar(spec, rng);
+  nn::Network b = nn::make_resnet_cifar(spec, rng);
+  constexpr float kSentinel = 0.25f;
+  for (nn::Network* net : {&a, &b})
+    for (nn::Param* p : net->params()) p->grad.fill(kSentinel);
+  const Tensor x = Tensor::uniform({3, 8, 8}, 0, 1, rng);
+
+  NetworkAttackModel single(a);
+  EnsembleAttackModel ens({&a, &b});
+  EXPECT_GT(single.loss_input_grad(x, 1).abs_max(), 0.0f);
+  EXPECT_GT(ens.loss_input_grad(x, 2).abs_max(), 0.0f);
+  for (nn::Network* net : {&a, &b})
+    for (nn::Param* p : net->params()) {
+      EXPECT_EQ(p->grad.min(), kSentinel);
+      EXPECT_EQ(p->grad.max(), kSentinel);
+    }
+}
+
 TEST(SurrogateEnsemble, DistillsVictimBehaviour) {
   // Victim: tiny trained network on a separable task. Surrogates trained
   // only from queried logits must agree with the victim on most inputs.

@@ -129,6 +129,47 @@ TEST(GradCheck, Linear) {
   check_layer_gradients(lin, x, Mode::Train);
 }
 
+/// A backward after an Eval forward returns the same dX, bit for bit, as
+/// after a Train forward (conv and linear forwards do not depend on the
+/// mode), but it is input-only: only the Train backward moves the grads.
+void expect_eval_backward_input_only(Layer& layer, const Tensor& x) {
+  Rng rng(98);
+  const Tensor g = Tensor::normal(layer.forward(x, Mode::Train).shape(),
+                                  0.0f, 1.0f, rng);
+  constexpr float kSentinel = 7.0f;
+  for (Param* p : layer.params()) p->grad.fill(kSentinel);
+
+  (void)layer.forward(x, Mode::Eval);
+  const Tensor dx_eval = layer.backward(g);
+  for (Param* p : layer.params())
+    for (std::int64_t i = 0; i < p->grad.numel(); ++i)
+      ASSERT_EQ(p->grad[i], kSentinel) << "Eval backward wrote a grad";
+
+  (void)layer.forward(x, Mode::Train);
+  const Tensor dx_train = layer.backward(g);
+  ASSERT_TRUE(dx_eval.same_shape(dx_train));
+  for (std::int64_t i = 0; i < dx_eval.numel(); ++i)
+    EXPECT_EQ(dx_eval[i], dx_train[i]) << "dx element " << i;
+  for (Param* p : layer.params()) {
+    bool moved = false;
+    for (std::int64_t i = 0; i < p->grad.numel(); ++i)
+      moved = moved || p->grad[i] != kSentinel;
+    EXPECT_TRUE(moved) << "Train backward left a grad untouched";
+  }
+}
+
+TEST(GradCheck, Conv2dEvalBackwardIsInputOnly) {
+  Rng rng(17);
+  Conv2d conv(3, 4, 3, 2, 1, rng);
+  expect_eval_backward_input_only(conv, Tensor::normal({3, 6, 6}, 0, 1, rng));
+}
+
+TEST(GradCheck, LinearEvalBackwardIsInputOnly) {
+  Rng rng(18);
+  Linear lin(6, 4, rng);
+  expect_eval_backward_input_only(lin, Tensor::normal({6}, 0, 1, rng));
+}
+
 TEST(GradCheck, ReLU) {
   Rng rng(5);
   ReLU relu;
