@@ -81,6 +81,9 @@ class GeniexModel final : public MvmModel {
   std::unique_ptr<ProgrammedXbar> program(const Tensor& g) const override;
   const CrossbarConfig& config() const override { return cfg_; }
   std::string name() const override { return "geniex"; }
+  /// Takes integer DAC codes; the default mvm_chunks_active materializes
+  /// the same volts as the float DAC, so outputs do not change.
+  bool supports_chunk_mvm() const override { return true; }
 
   const MlpRegressor& mlp() const { return mlp_; }
 

@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/health.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -839,6 +840,52 @@ TEST(IntPath, FastNoiseIntChunksBitIdenticalToLegacyFloat) {
   ASSERT_EQ(legacy.numel(), routed.numel());
   for (std::int64_t i = 0; i < legacy.numel(); ++i)
     EXPECT_EQ(routed[i], legacy[i]) << i;
+}
+
+/// GENIEx has no chunk override: the default mvm_chunks_active
+/// materializes v_unit * float(code), the volts the legacy float DAC
+/// applies, so routing it through the integer DAC phase must not move a
+/// bit. An untrained surrogate behind a narrow trust envelope sends some
+/// samples to the fast-noise fallback on both routes.
+TEST(IntPath, GeniexIntChunksBitIdenticalToLegacyFloat) {
+  Rng rng(73);
+  const auto cfg = tiny_config(16);
+  Rng mlp_rng(74);
+  xbar::GeniexGuardOptions narrow;
+  narrow.rel_min = -0.02f;
+  narrow.rel_max = 0.02f;
+  auto model = std::make_shared<xbar::GeniexModel>(
+      cfg, xbar::MlpRegressor(xbar::kGeniexFeatureCount, 8, mlp_rng), narrow);
+  Tensor w = Tensor::normal({20, 18}, 0.0f, 0.4f, rng);
+  Tensor x({18, 5});
+  for (std::int64_t i = 0; i < x.numel(); ++i)
+    x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+  puma::TiledMatrix tiled(w, model, puma::HwConfig{});
+  metrics::Counter& chunk_mms =
+      metrics::counter("puma/tiled/matmuls_int_chunks");
+
+  Tensor legacy, routed;
+  {
+    puma::ScopedIntPathForTests off(false);
+    const std::uint64_t before =
+        health_value(HealthCounter::SurrogateFallback);
+    legacy = tiled.matmul(x, 0.0f);
+    EXPECT_GT(health_value(HealthCounter::SurrogateFallback), before)
+        << "no fallback on the legacy route";
+  }
+  {
+    puma::ScopedIntPathForTests on(true);
+    const std::uint64_t before = chunk_mms.value();
+    const std::uint64_t fallbacks =
+        health_value(HealthCounter::SurrogateFallback);
+    routed = tiled.matmul(x, 0.0f);
+    EXPECT_GT(chunk_mms.value(), before) << "int chunk path did not engage";
+    EXPECT_GT(health_value(HealthCounter::SurrogateFallback), fallbacks)
+        << "no fallback on the int chunk route";
+  }
+  ASSERT_EQ(legacy.numel(), routed.numel());
+  for (std::int64_t i = 0; i < legacy.numel(); ++i)
+    EXPECT_EQ(float_bits(routed[i]), float_bits(legacy[i])) << i;
 }
 
 /// ideal: the fully-digital int path computes the exact integer dot
