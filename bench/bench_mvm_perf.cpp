@@ -19,10 +19,12 @@
 #include <string>
 #include <vector>
 
+#include "attack/attack_model.h"
 #include "common/metrics.h"
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "core/report.h"
+#include "nn/resnet.h"
 #include "puma/plan.h"
 #include "puma/tiled_mvm.h"
 #include "tensor/ops.h"
@@ -467,13 +469,53 @@ BENCHMARK(BM_CircuitSolverOrdering)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+// The digital conv GEMMs of a SCIFAR10 ResNet-20 (12x12 input), one per
+// stage: (out_c x in_c*9) weights times (in_c*9 x positions) im2col
+// columns. Stage 3 has 9 output positions, fewer than one vector on any
+// tier, so it times the GEMM's tail lanes. Args: stage, m, k, n;
+// microseconds per product land in the run manifest as
+// bench/gemm/stage<stage>_us.
 void BM_FloatGemmReference(benchmark::State& state) {
+  const std::int64_t m = state.range(1), k = state.range(2),
+                     n = state.range(3);
   Rng rng(5);
-  Tensor w = Tensor::normal({16, 72}, 0, 0.1f, rng);
-  Tensor x = Tensor::uniform({72, 36}, 0, 1, rng);
+  Tensor w = Tensor::normal({m, k}, 0, 0.1f, rng);
+  Tensor x = Tensor::uniform({k, n}, 0, 1, rng);
+  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) benchmark::DoNotOptimize(matmul(w, x));
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  if (state.iterations() == 0) return;
+  std::ostringstream name;
+  name << "bench/gemm/stage" << state.range(0) << "_us";
+  metrics::gauge(name.str())
+      .set(dt.count() * 1e6 / static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_FloatGemmReference);
+BENCHMARK(BM_FloatGemmReference)
+    ->Args({1, 8, 72, 144})
+    ->Args({2, 16, 144, 36})
+    ->Args({3, 32, 288, 9})
+    ->Unit(benchmark::kMicrosecond);
+
+// One digital attack query: loss_input_grad (Eval forward, cross-entropy,
+// backward to the input) on a SCIFAR10-shaped ResNet-20 with ideal
+// engines, the white-box PGD step of Table III. Microseconds per query
+// land in the run manifest as bench/attack/input_grad_us.
+void BM_DigitalInputGrad(benchmark::State& state) {
+  Rng rng(11);
+  nn::ResnetCifarSpec spec;  // ResNet-20, widths 8/16/32, 10 classes
+  nn::Network net = nn::make_resnet_cifar(spec, rng);
+  attack::NetworkAttackModel model(net);
+  const Tensor x = Tensor::uniform({3, 12, 12}, 0, 1, rng);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) benchmark::DoNotOptimize(model.loss_input_grad(x, 3));
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  if (state.iterations() == 0) return;
+  metrics::gauge("bench/attack/input_grad_us")
+      .set(dt.count() * 1e6 / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_DigitalInputGrad)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

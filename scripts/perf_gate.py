@@ -57,6 +57,12 @@ SPECS = [
     # deployment.
     ("BENCH_mvm_perf.json", "metrics",
      "bench/tiled/program_resnet20_t2_ms", "lower", 0.50),
+    # The digital stage-3 ResNet-20 conv GEMM (BM_FloatGemmReference/3:
+    # 32x288 times 288x9, all 9 columns in the kernels' tail lanes) and one
+    # digital attack input gradient on a ResNet-20 (BM_DigitalInputGrad).
+    ("BENCH_mvm_perf.json", "metrics", "bench/gemm/stage3_us", "lower", 0.50),
+    ("BENCH_mvm_perf.json", "metrics",
+     "bench/attack/input_grad_us", "lower", 0.50),
     # Fused execution plans: the plan path must beat the interpreter by
     # >= 1.2x on the batched fast-noise matmul — a structural floor, not a
     # baseline comparison, so a landed fusion can never silently regress

@@ -37,10 +37,12 @@ run cost_model "$BUILD/bench/bench_cost_model"
 # red-black vs lexicographic sweep-schedule A/B, and the execution-plan
 # interpreter-vs-fused A/B (bench/plan/tiled_matmul_speedup), the
 # GENIEx evaluation over ResNet-20 tile shapes (bench/geniex/active_*_us,
-# one row also on two concurrent threads), and programming a ResNet-20's
-# tiles at 1 and 2 threads (bench/tiled/program_resnet20_t*_ms).
+# one row also on two concurrent threads), programming a ResNet-20's
+# tiles at 1 and 2 threads (bench/tiled/program_resnet20_t*_ms), the
+# digital ResNet-20 conv GEMM of each stage (bench/gemm/stage*_us) and one
+# digital attack input gradient (bench/attack/input_grad_us).
 run mvm_perf "$BUILD/bench/bench_mvm_perf" \
-  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/0|BM_TiledMatmulPlan|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverOrdering|BM_GeniexMvmActive|BM_TiledProgram' \
+  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/0|BM_TiledMatmulPlan|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverOrdering|BM_GeniexMvmActive|BM_TiledProgram|BM_FloatGemmReference|BM_DigitalInputGrad' \
   --benchmark_min_time=0.05
 # Serving layer: throughput + exact p50/p99 latency at 2 offered loads and
 # saturation, max_batch 1 vs 32; exits nonzero if batching fails to beat

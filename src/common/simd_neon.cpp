@@ -134,25 +134,24 @@ inline void store_lanes(float* p, float32x4_t v, std::int64_t lanes) {
   std::copy(buf, buf + lanes, p);
 }
 
-/// Columns [j0, n) of `rows` (1..4) output rows of the gemm tail: 4-lane
+/// Columns [j0, n) of `Rows` (1..4) output rows of the gemm tail: 4-lane
 /// vectors with an unfused mul then add, the scalar reference's op per
 /// lane, the last partial vector through load_lanes/store_lanes. Each B
 /// vector is loaded once for all rows.
-template <typename Coef>
+template <int Rows, typename Coef>
 inline void gemm_tail_unfused(float* c, const float* b, std::int64_t j0,
                               std::int64_t n, std::int64_t k,
-                              std::int64_t ldb, std::int64_t ldc, int rows,
-                              Coef coef) {
+                              std::int64_t ldb, std::int64_t ldc, Coef coef) {
   for (std::int64_t j = j0; j < n; j += 4) {
     const std::int64_t lanes = std::min<std::int64_t>(4, n - j);
-    float32x4_t acc[4];
-    for (int r = 0; r < rows; ++r) acc[r] = load_lanes(c + r * ldc + j, lanes);
+    float32x4_t acc[Rows];
+    for (int r = 0; r < Rows; ++r) acc[r] = load_lanes(c + r * ldc + j, lanes);
     for (std::int64_t kk = 0; kk < k; ++kk) {
       const float32x4_t bv = load_lanes(b + kk * ldb + j, lanes);
-      for (int r = 0; r < rows; ++r)
+      for (int r = 0; r < Rows; ++r)
         acc[r] = vaddq_f32(acc[r], vmulq_f32(vdupq_n_f32(coef(r, kk)), bv));
     }
-    for (int r = 0; r < rows; ++r) store_lanes(c + r * ldc + j, acc[r], lanes);
+    for (int r = 0; r < Rows; ++r) store_lanes(c + r * ldc + j, acc[r], lanes);
   }
 }
 
@@ -170,8 +169,8 @@ inline void gemm_row_fma(float* crow, const float* b, std::int64_t n,
                       vld1q_f32(b + kk * ldb + j0));
     vst1q_f32(crow + j0, acc);
   }
-  gemm_tail_unfused(crow, b, n4, n, k, ldb, 0, 1,
-                    [&](int, std::int64_t kk) { return coef(kk); });
+  gemm_tail_unfused<1>(crow, b, n4, n, k, ldb, 0,
+                       [&](int, std::int64_t kk) { return coef(kk); });
 }
 
 /// 4x8 microtile: four rows, two vectors per row, independent FMA chains;
@@ -215,7 +214,7 @@ inline void gemm_tile4_fma(float* c, const float* b, std::int64_t n,
     vst1q_f32(c + 3 * ldc + j0, a30);
     vst1q_f32(c + 3 * ldc + j0 + 4, a31);
   }
-  gemm_tail_unfused(c, b, n8, n, k, ldb, ldc, 4, coef);
+  gemm_tail_unfused<4>(c, b, n8, n, k, ldb, ldc, coef);
 }
 
 }  // namespace

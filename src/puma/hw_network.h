@@ -7,7 +7,7 @@
 //      engines to fix each layer's activation range;
 //   2. every MVM layer gets a CrossbarMvmEngine (tiles program lazily on
 //      the layer's next forward pass);
-//   3. optionally (HwConfig::bn_reestimate, default on) BatchNorm running
+//   3. optionally (HwConfig::bn_reestimate, default off) BatchNorm running
 //      statistics are re-estimated on the non-ideal hardware — the
 //      standard deployment-time BN recalibration that recovers most clean
 //      accuracy while leaving the input-dependent deviation intact;

@@ -233,19 +233,6 @@ TEST(EnsembleModel, GradIsSumAndLogitsAreMean) {
   EXPECT_LT(max_abs_diff(gsum, ga + gb), 1e-4f);
 }
 
-TEST(NetworkModel, GradLeavesParamsClean) {
-  Rng rng(6);
-  nn::ResnetCifarSpec spec;
-  spec.blocks_per_stage = 1;
-  spec.widths = {4, 4, 4};
-  spec.num_classes = 2;
-  nn::Network net = nn::make_resnet_cifar(spec, rng);
-  NetworkAttackModel model(net);
-  Tensor x = Tensor::uniform({3, 8, 8}, 0, 1, rng);
-  (void)model.loss_input_grad(x, 0);
-  for (nn::Param* p : net.params()) EXPECT_EQ(p->grad.abs_max(), 0.0f);
-}
-
 /// Attack queries run a backward after an Eval forward, which is
 /// input-only: grads a caller accumulated (here a sentinel) survive both a
 /// network model's and an ensemble model's loss_input_grad.
