@@ -6,8 +6,9 @@
 // reference's unfused per-element op sequence 4 lanes at a time (NEON
 // float ops are IEEE-754 compliant on AArch64); [~ulp] kernels use vfmaq
 // in the vector body and unfused ops in the tail (the gemm tails run as
-// 4-lane vmulq+vaddq, the scalar op per lane); dot uses two float32x4 accumulators so its lane
-// layout matches the documented 8-strided-lane tree exactly. vrndaq_f32
+// 4-lane vmulq+vaddq, the scalar op per lane); dot uses two float32x4
+// accumulators so its lane layout matches the documented 8-strided-lane
+// tree exactly. vrndaq_f32
 // rounds half away from zero, which is std::round's semantics, so the
 // quantize/ADC kernels need no floor+frac trick here. gemm_f64acc uses
 // vfmaq_f64 on exact float*float products — bit-identical to the scalar

@@ -360,7 +360,8 @@ TEST(SimdKernels, GemmTailLanesMatchScalarTierExactly) {
           for (std::int64_t i = 0; i < m; ++i) {
             for (std::int64_t j = gemm_tail_start(isa, i, m, n); j < n; ++j) {
               ++tail_lanes;
-              EXPECT_EQ(float_bits(c[i * ldc + j]), float_bits(ref[i * ldc + j]))
+              EXPECT_EQ(float_bits(c[i * ldc + j]),
+                        float_bits(ref[i * ldc + j]))
                   << simd::isa_name(isa) << (at ? " gemm_at" : " gemm")
                   << " m=" << m << " n=" << n << " (" << i << "," << j << ")";
             }
