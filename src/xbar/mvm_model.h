@@ -187,8 +187,9 @@ class MvmModel {
   /// (per-element float chunk extraction, tiles get mvm_multi_active).
   /// Both routes apply the same volts, so outputs match bit for bit and
   /// true needs no mvm_chunks_active override: the default materializes
-  /// the volts (GENIEx); an override can exploit the codes (fast noise).
-  virtual bool supports_chunk_mvm() const { return false; }
+  /// the volts (GENIEx, circuit solver, decorators); an override can
+  /// exploit the codes (fast noise).
+  virtual bool supports_chunk_mvm() const { return true; }
 };
 
 /// Validates shape and conductance range of a matrix to be programmed.

@@ -1010,6 +1010,77 @@ TEST(IntPath, FaultWrappedIdealNeverTakesDigitalRoute) {
   }
 }
 
+/// Models without a chunk override (the circuit solver, and the Fault /
+/// Variation decorators over any base) take the integer DAC route by
+/// default. The base mvm_chunks_active materializes v_unit * float(code),
+/// the volts the legacy float DAC applies, and a stream's default
+/// mvm_chunks_active forwards through that same stream, so the solver's
+/// warm starts see the same block sequence. Fault(fast_noise) programs
+/// fast-noise tiles, so it also runs fused kernels. Pinned bit for bit
+/// against the legacy route.
+TEST(IntPath, DefaultChunkRouteBitIdenticalToLegacyFloat) {
+  Rng rng(76);
+  Rng mlp_rng(77);
+  const auto cfg = tiny_config(16);
+  xbar::FaultOptions fo;
+  fo.stuck_on_rate = 0.05;
+  fo.stuck_off_rate = 0.05;
+  xbar::SolverOptions so;
+  so.warm_start_streams = true;
+  auto geniex = std::make_shared<xbar::GeniexModel>(
+      cfg, xbar::MlpRegressor(xbar::kGeniexFeatureCount, 8, mlp_rng));
+  const std::vector<
+      std::pair<std::string, std::shared_ptr<const xbar::MvmModel>>>
+      models = {
+          {"circuit_solver",
+           std::make_shared<xbar::CircuitSolverModel>(tiny_config(8), so)},
+          {"variation(fault(geniex))",
+           std::make_shared<xbar::VariationModel>(
+               std::make_shared<xbar::FaultModel>(geniex, fo),
+               xbar::VariationOptions{})},
+          {"fault(fast_noise)",
+           std::make_shared<xbar::FaultModel>(
+               std::make_shared<xbar::FastNoiseModel>(cfg), fo)},
+          {"fault(ideal)",
+           std::make_shared<xbar::FaultModel>(
+               std::make_shared<xbar::IdealXbarModel>(cfg), fo)},
+      };
+  metrics::Counter& chunk_mms =
+      metrics::counter("puma/tiled/matmuls_int_chunks");
+  metrics::Counter& warm = metrics::counter("solver/warm_starts");
+  for (const auto& [tag, model] : models) {
+    // Two row tiles and two column tiles, the second of each partial.
+    const std::int64_t n = model->config().rows;
+    Tensor w = Tensor::normal({n + 4, n + 2}, 0.0f, 0.4f, rng);
+    Tensor x({n + 2, 3});
+    for (std::int64_t i = 0; i < x.numel(); ++i)
+      x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+    puma::TiledMatrix tiled(w, model, puma::HwConfig{});
+
+    Tensor legacy, routed;
+    {
+      puma::ScopedIntPathForTests off(false);
+      legacy = tiled.matmul(x, 0.0f);
+    }
+    {
+      puma::ScopedIntPathForTests on(true);
+      const std::uint64_t chunks0 = chunk_mms.value();
+      const std::uint64_t warm0 = warm.value();
+      routed = tiled.matmul(x, 0.0f);
+      EXPECT_GT(chunk_mms.value(), chunks0)
+          << tag << ": int chunk path did not engage";
+      if (tag == "circuit_solver") {
+        EXPECT_GT(warm.value(), warm0) << "solver streams did not warm-start";
+      }
+    }
+    ASSERT_GT(legacy.abs_max(), 0.0f) << tag;
+    ASSERT_EQ(legacy.numel(), routed.numel()) << tag;
+    for (std::int64_t i = 0; i < legacy.numel(); ++i)
+      EXPECT_EQ(float_bits(routed[i]), float_bits(legacy[i]))
+          << tag << " i=" << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Solver stream warm-starting
 // ---------------------------------------------------------------------------
