@@ -158,7 +158,7 @@ void gemm_f64acc(float* out, const float* a, const float* v, std::int64_t m,
 
 /// [exact] out[i] = round(clamp(x[i], 0, scale) / scale * qmax), with
 /// round-half-away-from-zero semantics identical to std::round for the
-/// non-negative domain (puma::quantize_activations).
+/// non-negative domain; the float reference for quantize_to_i8/i16.
 void quantize_affine(float* out, const float* x, std::int64_t n, float scale,
                      float qmax);
 

@@ -116,11 +116,9 @@ std::unique_ptr<MvmPlan> MvmPlan::compile(const TiledMatrix& tm) {
   seed = crc32(id.data(), id.size(), static_cast<std::uint32_t>(seed));
   plan->hash_ = graph.graph_hash(seed);
 
-  // Fuse: compile per-tile chunk kernels where the model offers them and
-  // the integer chunk path is even reachable (bit-width gates; the ideal
-  // digital path outranks chunks and never consults the tiles).
-  if (tm.int_gates_ok_ && tm.wchunks_.empty() &&
-      tm.model_->supports_chunk_mvm()) {
+  // Fuse: compile per-tile chunk kernels where the model offers them (the
+  // ideal digital path never consults the tiles).
+  if (tm.wchunks_.empty()) {
     const int max_code =
         static_cast<int>((std::int64_t{1} << tm.hw_.stream_bits) - 1);
     for (SlotStep& step : plan->steps_) {
@@ -162,30 +160,18 @@ Tensor MvmPlan::execute(const TiledMatrix& tm, const Tensor& x,
 
   const auto& cfg = tm.model_->config();
 
-  // Path selection matches the interpreter call-for-call (the int-path
-  // gate is re-read per execution so ScopedIntPathForTests behaves
-  // identically under plans).
-  enum class Path { kLegacy, kIntDigital, kIntChunks };
-  Path path = Path::kLegacy;
-  if (tm.int_gates_ok_ && int_path_enabled()) {
-    if (!tm.wchunks_.empty())
-      path = Path::kIntDigital;
-    else if (tm.model_->supports_chunk_mvm())
-      path = Path::kIntChunks;
-  }
+  // Path selection matches the interpreter call-for-call.
+  enum class Path { kIntDigital, kIntChunks };
+  const Path path =
+      tm.wchunks_.empty() ? Path::kIntChunks : Path::kIntDigital;
   static metrics::Counter& m_int_digital =
       metrics::counter("puma/tiled/matmuls_int_digital");
   static metrics::Counter& m_int_chunks =
       metrics::counter("puma/tiled/matmuls_int_chunks");
-  if (path == Path::kIntDigital) m_int_digital.add();
-  if (path == Path::kIntChunks) m_int_chunks.add();
+  (path == Path::kIntDigital ? m_int_digital : m_int_chunks).add();
 
-  Tensor xq;
-  std::vector<std::int16_t> xq16;
-  if (path == Path::kLegacy)
-    xq = quantize_activations(x, s_x, tm.hw_.input_bits);
-  else
-    xq16 = quantize_activations_i16(x, s_x, tm.hw_.input_bits);
+  const std::vector<std::int16_t> xq16 =
+      quantize_activations_i16(x, s_x, tm.hw_.input_bits);
 
   const std::int64_t streams = tm.hw_.input_streams();
   const float v_unit = static_cast<float>(
@@ -206,7 +192,6 @@ Tensor MvmPlan::execute(const TiledMatrix& tm, const Tensor& x,
   // Phase 1 — DAC (identical math to the interpreter; scratch comes from
   // the shared workspace pool instead of thread_local buffers).
   struct StreamBlock {
-    Tensor volts;
     std::vector<std::int8_t> chunk;
     std::vector<std::int8_t> row_max;
     std::vector<float> baseline;
@@ -221,36 +206,6 @@ Tensor MvmPlan::execute(const TiledMatrix& tm, const Tensor& x,
     simd::WorkspacePool::Lease lease = simd::shared_workspace_pool().acquire();
     simd::Workspace& ws = lease.get();
     const std::size_t cells = static_cast<std::size_t>(cfg.rows * n);
-
-    if (path == Path::kLegacy) {
-      std::span<float> xblock = ws.floats(0, cells);
-      std::span<float> chunk = ws.floats(1, cells);
-      for (std::int64_t kk = 0; kk < k_used; ++kk) {
-        const float* src = xq.raw() + (k0 + kk) * n;
-        std::copy(src, src + n, xblock.data() + kk * n);
-      }
-      std::fill(xblock.begin() + static_cast<std::ptrdiff_t>(k_used * n),
-                xblock.end(), 0.0f);
-      for (std::int64_t t = 0; t < streams; ++t) {
-        const float cmax =
-            extract_chunk_into(xblock, t, tm.hw_.stream_bits, chunk);
-        if (tm.hw_.skip_zero_tiles && cmax == 0.0f) continue;
-        StreamBlock& sb = dacb[static_cast<std::size_t>(ti * streams + t)];
-        sb.active = true;
-        sb.baseline.assign(static_cast<std::size_t>(n), 0.0f);
-        for (std::int64_t kk = 0; kk < k_used; ++kk) {
-          const float* src = chunk.data() + kk * n;
-          for (std::int64_t nn = 0; nn < n; ++nn)
-            sb.baseline[static_cast<std::size_t>(nn)] += src[nn];
-        }
-        for (std::int64_t nn = 0; nn < n; ++nn)
-          sb.baseline[static_cast<std::size_t>(nn)] *= g_off * v_unit;
-        sb.volts = Tensor({cfg.rows, n});
-        simd::scale(sb.volts.raw(), chunk.data(), v_unit,
-                    static_cast<std::int64_t>(cells));
-      }
-      return;
-    }
 
     std::span<std::int16_t> xblock = ws.i16s(0, cells);
     std::copy(xq16.begin() + static_cast<std::ptrdiff_t>(k0 * n),
@@ -327,7 +282,7 @@ Tensor MvmPlan::execute(const TiledMatrix& tm, const Tensor& x,
                                   sb.baseline.data(), n, dot_unit, i_scale,
                                   adc_steps, shift);
       }
-    } else if (path == Path::kIntChunks && step.kernel != nullptr) {
+    } else if (step.kernel != nullptr) {
       // Fused path: compiled per-cell tables replace the per-call table
       // build; currents land in pooled scratch (no per-pass Tensor).
       m_fused_runs.add();
@@ -358,18 +313,14 @@ Tensor MvmPlan::execute(const TiledMatrix& tm, const Tensor& x,
             dacb[static_cast<std::size_t>(step.ti * streams + t)];
         if (!sb.active) continue;
         ++passes;
-        Tensor currents;
-        if (path == Path::kIntChunks) {
-          xbar::ChunkBlock cb;
-          cb.chunk = sb.chunk.data();
-          cb.row_max = sb.row_max.data();
-          cb.rows = cfg.rows;
-          cb.n = n;
-          cb.v_unit = v_unit;
-          currents = stream->mvm_chunks_active(cb, k_used, m_used);
-        } else {
-          currents = stream->mvm_multi_active(sb.volts, k_used, m_used);
-        }
+        xbar::ChunkBlock cb;
+        cb.chunk = sb.chunk.data();
+        cb.row_max = sb.row_max.data();
+        cb.rows = cfg.rows;
+        cb.n = n;
+        cb.v_unit = v_unit;
+        const Tensor currents =
+            stream->mvm_chunks_active(cb, k_used, m_used);
         const float shift = step.shifts[static_cast<std::size_t>(t)];
         if (acc.numel() == 0) acc = Tensor({m_used, n});
         for (std::int64_t mm = 0; mm < m_used; ++mm)

@@ -1,7 +1,6 @@
 #include "puma/tiled_mvm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <span>
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -19,30 +17,6 @@
 #include "puma/quantize.h"
 
 namespace nvm::puma {
-
-namespace {
-
-/// -1 = no test override; 0/1 force the gate.
-std::atomic<int>& int_path_override() {
-  static std::atomic<int> v{-1};
-  return v;
-}
-
-}  // namespace
-
-bool int_path_enabled() {
-  const int o = int_path_override().load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  static const bool enabled = env_int("NVM_INT_PATH", 1) != 0;
-  return enabled;
-}
-
-ScopedIntPathForTests::ScopedIntPathForTests(bool enabled)
-    : prev_(int_path_override().exchange(enabled ? 1 : 0)) {}
-
-ScopedIntPathForTests::~ScopedIntPathForTests() {
-  int_path_override().store(prev_);
-}
 
 std::int64_t HwConfig::weight_slices() const {
   return slice_count(weight_bits - 1, slice_bits);
@@ -83,18 +57,11 @@ TiledMatrix::TiledMatrix(const Tensor& w,
       (cfg.g_on() - cfg.g_off()) /
       static_cast<double>((std::int64_t{1} << hw_.slice_bits) - 1));
 
-  // Integer bit-slice path eligibility (DESIGN.md §13): chunk values must
-  // fit int8 (weight slices and DAC codes), activation codes must fit
-  // int16, and every per-tile integer dot product must stay below 2^24 so
-  // its float image is exact (that bound is what makes the int kernels
-  // bit-identical twins of the float ones).
-  {
-    const std::int64_t smax = (std::int64_t{1} << hw_.slice_bits) - 1;
-    const std::int64_t tmax = (std::int64_t{1} << hw_.stream_bits) - 1;
-    int_gates_ok_ = hw_.slice_bits <= 7 && hw_.stream_bits <= 7 &&
-                    hw_.input_bits <= 15 &&
-                    cfg.rows * smax * tmax < (std::int64_t{1} << 24);
-  }
+  // The DAC and weight chunks travel as int8 codes and the activation
+  // codes as int16 (DESIGN.md §13).
+  NVM_CHECK(hw_.slice_bits <= 7 && hw_.stream_bits <= 7,
+            "slice and stream bits must fit int8 codes");
+  NVM_CHECK(hw_.input_bits <= 15, "input bits must fit int16 codes");
 
   // Every tile slot (row tile, col tile, polarity, slice) is programmed
   // as its own task: MvmModel::program() is safe to call concurrently, and
@@ -105,7 +72,13 @@ TiledMatrix::TiledMatrix(const Tensor& w,
   // are zero-padded anyway).
   const std::int64_t slots = total_tile_slots();
   tiles_.resize(static_cast<std::size_t>(slots));
-  if (int_gates_ok_ && model_->is_ideal()) wchunks_.resize(tiles_.size());
+  // Ideal models run fully digital when every per-tile integer dot product
+  // stays below 2^24, so its float image is exact (that bound is what makes
+  // the int kernels bit-identical twins of the float ones).
+  const std::int64_t smax = (std::int64_t{1} << hw_.slice_bits) - 1;
+  const std::int64_t tmax = (std::int64_t{1} << hw_.stream_bits) - 1;
+  if (model_->is_ideal() && cfg.rows * smax * tmax < (std::int64_t{1} << 24))
+    wchunks_.resize(tiles_.size());
   const float* pq = qw.q.raw();  // (M x K)
   parallel_for(slots, [&](std::int64_t slot) {
     const std::int64_t s = slot % slices;
@@ -184,34 +157,20 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
 
   const auto& cfg = model_->config();
 
-  // Route through the integer bit-slice pipeline when eligible
-  // (DESIGN.md §13): kIntDigital computes the whole evaluation with int8
-  // GEMMs (ideal models only — their analog step IS the exact dot
-  // product); kIntChunks keeps the analog model but hands it integer DAC
-  // codes instead of materialized voltages (bit-identical by the
-  // mvm_chunks_active contract). kLegacy is the original float pipeline
-  // (NVM_INT_PATH=0 escape hatch).
-  enum class Path { kLegacy, kIntDigital, kIntChunks };
-  Path path = Path::kLegacy;
-  if (int_gates_ok_ && int_path_enabled()) {
-    if (!wchunks_.empty())
-      path = Path::kIntDigital;
-    else if (model_->supports_chunk_mvm())
-      path = Path::kIntChunks;
-  }
+  // Both routes run the integer DAC (DESIGN.md §13). kIntDigital computes
+  // the whole evaluation with int8 GEMMs (ideal models only — their analog
+  // step IS the exact dot product); kIntChunks keeps the analog model and
+  // hands it the DAC codes (mvm_chunks_active).
+  enum class Path { kIntDigital, kIntChunks };
+  const Path path = wchunks_.empty() ? Path::kIntChunks : Path::kIntDigital;
   static metrics::Counter& m_int_digital =
       metrics::counter("puma/tiled/matmuls_int_digital");
   static metrics::Counter& m_int_chunks =
       metrics::counter("puma/tiled/matmuls_int_chunks");
-  if (path == Path::kIntDigital) m_int_digital.add();
-  if (path == Path::kIntChunks) m_int_chunks.add();
+  (path == Path::kIntDigital ? m_int_digital : m_int_chunks).add();
 
-  Tensor xq;                       // legacy float activation codes
-  std::vector<std::int16_t> xq16;  // int-path activation codes
-  if (path == Path::kLegacy)
-    xq = quantize_activations(x, s_x, hw_.input_bits);
-  else
-    xq16 = quantize_activations_i16(x, s_x, hw_.input_bits);
+  const std::vector<std::int16_t> xq16 =
+      quantize_activations_i16(x, s_x, hw_.input_bits);
 
   const std::int64_t slices = hw_.weight_slices();
   const std::int64_t streams = hw_.input_streams();
@@ -237,9 +196,8 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   // Phase 1 — DAC: per (row tile, stream) voltage blocks and g_off
   // baselines, independent across row tiles.
   struct StreamBlock {
-    Tensor volts;                      // legacy path: (cfg.rows, n) volts
-    std::vector<std::int8_t> chunk;    // int paths: (cfg.rows, n) DAC codes
-    std::vector<std::int8_t> row_max;  // int paths: per-row max code
+    std::vector<std::int8_t> chunk;    // (cfg.rows, n) DAC codes
+    std::vector<std::int8_t> row_max;  // per-row max code
     std::vector<float> baseline;       // per input vector, g_off*v_unit*Σc
     bool active = false;               // false: chunk all-zero, skippable
   };
@@ -250,46 +208,11 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
     const std::int64_t k1 = std::min(k_, k0 + cfg.rows);
     const std::int64_t k_used = k1 - k0;
 
-    // Zero-padded integer input block and chunk scratch live in reused
-    // per-thread workspace; only buffers that outlive this phase
-    // (sb.volts / sb.chunk) are allocated.
+    // The zero-padded integer input block lives in reused per-thread
+    // workspace; only the chunks that outlive this phase are allocated.
+    // The float baseline is exact: float(integer column sum).
     thread_local simd::Workspace ws;
     const std::size_t cells = static_cast<std::size_t>(cfg.rows * n);
-
-    if (path == Path::kLegacy) {
-      std::span<float> xblock = ws.floats(0, cells);
-      std::span<float> chunk = ws.floats(1, cells);
-      for (std::int64_t kk = 0; kk < k_used; ++kk) {
-        const float* src = xq.raw() + (k0 + kk) * n;
-        std::copy(src, src + n, xblock.data() + kk * n);
-      }
-      std::fill(xblock.begin() + static_cast<std::ptrdiff_t>(k_used * n),
-                xblock.end(), 0.0f);
-
-      for (std::int64_t t = 0; t < streams; ++t) {
-        const float cmax =
-            extract_chunk_into(xblock, t, hw_.stream_bits, chunk);
-        if (hw_.skip_zero_tiles && cmax == 0.0f) continue;
-        StreamBlock& sb = dac[static_cast<std::size_t>(ti * streams + t)];
-        sb.active = true;
-        sb.baseline.assign(static_cast<std::size_t>(n), 0.0f);
-        for (std::int64_t kk = 0; kk < k_used; ++kk) {
-          const float* src = chunk.data() + kk * n;
-          for (std::int64_t nn = 0; nn < n; ++nn)
-            sb.baseline[static_cast<std::size_t>(nn)] += src[nn];
-        }
-        for (std::int64_t nn = 0; nn < n; ++nn)
-          sb.baseline[static_cast<std::size_t>(nn)] *= g_off * v_unit;
-        sb.volts = Tensor({cfg.rows, n});  // integer chunk -> DAC voltages
-        simd::scale(sb.volts.raw(), chunk.data(), v_unit,
-                    static_cast<std::int64_t>(cells));
-      }
-      return;
-    }
-
-    // Int paths: codes stay integer end-to-end. The float baseline is
-    // bit-identical to the legacy one — a float sum of small non-negative
-    // integers is exact, so it equals float(integer column sum).
     std::span<std::int16_t> xblock = ws.i16s(0, cells);
     std::copy(xq16.begin() + static_cast<std::ptrdiff_t>(k0 * n),
               xq16.begin() + static_cast<std::ptrdiff_t>(k1 * n),
@@ -355,7 +278,7 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
     if (path == Path::kIntDigital) {
       // Fully digital: the ideal tile's analog output IS the dot product,
       // so compute it in int8/int32 and feed the integer ADC epilogue. The
-      // model tiles are not consulted (NVM_INT_PATH=0 restores them).
+      // model tiles are not consulted.
       const std::vector<std::int8_t>& w8 =
           wchunks_[static_cast<std::size_t>(slot)];
       thread_local simd::Workspace ws;
@@ -387,18 +310,14 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
             dac[static_cast<std::size_t>(ti * streams + t)];
         if (!sb.active) continue;
         ++passes;
-        Tensor currents;  // (cols, n)
-        if (path == Path::kIntChunks) {
-          xbar::ChunkBlock cb;
-          cb.chunk = sb.chunk.data();
-          cb.row_max = sb.row_max.data();
-          cb.rows = cfg.rows;
-          cb.n = n;
-          cb.v_unit = v_unit;
-          currents = stream->mvm_chunks_active(cb, k_used, m_used);
-        } else {
-          currents = stream->mvm_multi_active(sb.volts, k_used, m_used);
-        }
+        xbar::ChunkBlock cb;
+        cb.chunk = sb.chunk.data();
+        cb.row_max = sb.row_max.data();
+        cb.rows = cfg.rows;
+        cb.n = n;
+        cb.v_unit = v_unit;
+        const Tensor currents =  // (cols, n)
+            stream->mvm_chunks_active(cb, k_used, m_used);
         const float shift =
             sign * chunk_weight(t, hw_.stream_bits) * slice_w / dot_unit;
         if (acc.numel() == 0) acc = Tensor({m_used, n});

@@ -34,28 +34,6 @@ namespace nvm::puma {
 
 class MvmPlan;
 
-/// True when the integer bit-slice fast path (DESIGN.md §13) is enabled:
-/// NVM_INT_PATH env (default 1), overridable per-scope in tests. Even when
-/// enabled, a TiledMatrix only takes it when its bit widths fit the
-/// integer kernels (slice_bits <= 7, stream_bits <= 7, input_bits <= 15,
-/// per-tile dot counts < 2^24) and its model is ideal (full digital
-/// evaluation) or supports chunk MVM (fast_noise); everything else uses
-/// the legacy float pipeline.
-bool int_path_enabled();
-
-/// Test-only: forces the int-path gate while alive (restores on
-/// destruction).
-class ScopedIntPathForTests {
- public:
-  explicit ScopedIntPathForTests(bool enabled);
-  ~ScopedIntPathForTests();
-  ScopedIntPathForTests(const ScopedIntPathForTests&) = delete;
-  ScopedIntPathForTests& operator=(const ScopedIntPathForTests&) = delete;
-
- private:
-  int prev_;
-};
-
 struct HwConfig {
   std::int64_t weight_bits = 7;  ///< signed; magnitude = weight_bits - 1
   std::int64_t slice_bits = 3;   ///< bits per device (<= log2(cfg.levels))
@@ -122,11 +100,9 @@ class TiledMatrix {
   // tiles_[((ti * col_tiles + tj) * 2 + pol) * slices + s]; null = skipped.
   std::vector<std::unique_ptr<xbar::ProgrammedXbar>> tiles_;
   std::int64_t programmed_count_ = 0;
-  /// Bit widths fit the integer kernels (see int_path_enabled()).
-  bool int_gates_ok_ = false;
-  /// Per-slot int8 weight chunks, stored only for ideal models with
-  /// int_gates_ok_ (the fully-digital int path); same indexing and skip
-  /// pattern as tiles_.
+  /// Per-slot int8 weight chunks, stored only for ideal models whose
+  /// per-tile dot counts stay below 2^24 (the fully-digital int path);
+  /// same indexing and skip pattern as tiles_.
   std::vector<std::vector<std::int8_t>> wchunks_;
   /// Lazily compiled execution plan (immutable once built; call_once
   /// keeps concurrent matmuls race-free).

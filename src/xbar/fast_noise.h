@@ -27,7 +27,6 @@ class FastNoiseModel final : public MvmModel {
   std::unique_ptr<ProgrammedXbar> program(const Tensor& g) const override;
   const CrossbarConfig& config() const override { return cfg_; }
   std::string name() const override { return "fast_noise"; }
-  bool supports_chunk_mvm() const override { return true; }
 
  private:
   CrossbarConfig cfg_;

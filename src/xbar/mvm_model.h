@@ -181,14 +181,10 @@ class MvmModel {
   /// pipeline (DESIGN.md §13) without programming-model round trips.
   virtual bool is_ideal() const { return false; }
 
-  /// True routes the tiled GEMM's analog matmuls through the integer DAC
-  /// phase (DESIGN.md §13): activations are bit-sliced as int8 chunk codes
-  /// and tiles get mvm_chunks_active. False keeps the legacy float DAC
-  /// (per-element float chunk extraction, tiles get mvm_multi_active).
-  /// Both routes apply the same volts, so outputs match bit for bit and
-  /// true needs no mvm_chunks_active override: the default materializes
-  /// the volts (GENIEx, circuit solver, decorators); an override can
-  /// exploit the codes (fast noise).
+  /// Every analog model takes integer DAC codes (mvm_chunks_active: the
+  /// default materializes the volts, an override can exploit the codes),
+  /// so the tiled GEMM does not ask. Kept only because benchmark-side
+  /// decorators override it; always true.
   virtual bool supports_chunk_mvm() const { return true; }
 };
 

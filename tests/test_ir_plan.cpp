@@ -231,10 +231,10 @@ const xbar::GeniexFit& shared_fit() {
   return fit;
 }
 
-/// Backends x wrappers for the identity matrix. Wrapped models take the
-/// legacy float path (decorators do not advertise chunk/ideal
-/// capabilities), bare fast_noise takes the fused chunk path, bare ideal
-/// the int-digital path — together all three plan paths are exercised.
+/// Backends x wrappers for the identity matrix. Bare and fault-wrapped
+/// fast_noise take the fused chunk path, GENIEx and fault-wrapped ideal
+/// the stream chunk path, bare ideal the int-digital path — together all
+/// three plan paths are exercised.
 std::vector<std::pair<std::string, std::shared_ptr<const xbar::MvmModel>>>
 backend_matrix() {
   const xbar::CrossbarConfig cfg = small_cfg();
@@ -321,20 +321,6 @@ TEST_F(PlanTest, FusedKernelsEngageForFastNoiseAndStayBitIdentical) {
   EXPECT_GT(fused_runs.value(), before) << "fused path did not engage";
   for (std::int64_t i = 0; i < out.numel(); ++i)
     EXPECT_EQ(out[i], ref[i]) << i;
-  // The int-path escape hatch stays honored under plans too.
-  Tensor legacy_ref, legacy_plan;
-  {
-    puma::ScopedIntPathForTests int_off(false);
-    puma::ScopedPlanForTests off(false);
-    legacy_ref = tiled.matmul(x, 0.0f);
-  }
-  {
-    puma::ScopedIntPathForTests int_off(false);
-    puma::ScopedPlanForTests on(true);
-    legacy_plan = tiled.matmul(x, 0.0f);
-  }
-  for (std::int64_t i = 0; i < legacy_plan.numel(); ++i)
-    EXPECT_EQ(legacy_plan[i], legacy_ref[i]) << i;
 }
 
 // ---------------------------------------------------------------------------

@@ -37,10 +37,10 @@ TEST(QuantizeWeights, ZeroTensorHandled) {
 
 TEST(QuantizeActivations, ClipsAndScales) {
   Tensor x({4}, {-0.1f, 0.0f, 0.5f, 2.0f});
-  Tensor q = quantize_activations(x, 1.0f, 4);
-  EXPECT_EQ(q[0], 0.0f);    // negative clipped
-  EXPECT_EQ(q[2], 8.0f);    // 0.5 * 15 = 7.5 -> 8
-  EXPECT_EQ(q[3], 15.0f);   // above-scale clipped to max
+  std::vector<std::int16_t> q = quantize_activations_i16(x, 1.0f, 4);
+  EXPECT_EQ(q[0], 0);    // negative clipped
+  EXPECT_EQ(q[2], 8);    // 0.5 * 15 = 7.5 -> 8
+  EXPECT_EQ(q[3], 15);   // above-scale clipped to max
 }
 
 TEST(AdcQuantize, IdempotentAndMonotone) {
@@ -187,6 +187,31 @@ TEST(Tiled, SliceBitsMustFitDeviceLevels) {
   Rng rng(10);
   Tensor w = Tensor::normal({2, 2}, 0, 1, rng);
   EXPECT_THROW(TiledMatrix(w, model, hw), CheckError);
+}
+
+TEST(Tiled, BitWidthsMustFitIntegerCodes) {
+  // DAC and weight chunks travel as int8 codes, activation codes as int16.
+  xbar::CrossbarConfig cfg = test_cfg();
+  cfg.levels = 256;
+  auto model = std::make_shared<xbar::IdealXbarModel>(cfg);
+  Rng rng(11);
+  Tensor w = Tensor::normal({2, 2}, 0, 1, rng);
+  HwConfig wide_stream;
+  wide_stream.stream_bits = 8;
+  EXPECT_THROW(TiledMatrix(w, model, wide_stream), CheckError);
+  HwConfig wide_slice;
+  wide_slice.weight_bits = 9;
+  wide_slice.slice_bits = 8;
+  EXPECT_THROW(TiledMatrix(w, model, wide_slice), CheckError);
+  HwConfig wide_input;
+  wide_input.input_bits = 16;
+  EXPECT_THROW(TiledMatrix(w, model, wide_input), CheckError);
+  HwConfig widest;  // the widest accepted codes
+  widest.weight_bits = 8;
+  widest.slice_bits = 7;
+  widest.input_bits = 15;
+  widest.stream_bits = 7;
+  EXPECT_NO_THROW(TiledMatrix(w, model, widest));
 }
 
 TEST(HwConfig, SliceAndStreamCounts) {

@@ -808,125 +808,8 @@ TEST(TiledMatmul, DeterministicAcrossThreadCountsAndIsas) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Integer bit-slice pipeline vs the legacy float pipeline
-// ---------------------------------------------------------------------------
-
-/// fast_noise: the chunk-gather int path evaluates the SAME float
-/// operations per distinct chunk code as the legacy per-element loop
-/// (DESIGN.md §13), so routing through it must not move a single bit.
-TEST(IntPath, FastNoiseIntChunksBitIdenticalToLegacyFloat) {
-  Rng rng(71);
-  const auto cfg = tiny_config(16);
-  Tensor w = Tensor::normal({20, 18}, 0.0f, 0.4f, rng);
-  Tensor x({18, 5});
-  for (std::int64_t i = 0; i < x.numel(); ++i)
-    x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
-  auto model = std::make_shared<xbar::FastNoiseModel>(cfg);
-  puma::TiledMatrix tiled(w, model, puma::HwConfig{});
-  metrics::Counter& chunk_mms =
-      metrics::counter("puma/tiled/matmuls_int_chunks");
-
-  Tensor legacy, routed;
-  {
-    puma::ScopedIntPathForTests off(false);
-    legacy = tiled.matmul(x, 0.0f);
-  }
-  {
-    puma::ScopedIntPathForTests on(true);
-    const std::uint64_t before = chunk_mms.value();
-    routed = tiled.matmul(x, 0.0f);
-    EXPECT_GT(chunk_mms.value(), before) << "int chunk path did not engage";
-  }
-  ASSERT_EQ(legacy.numel(), routed.numel());
-  for (std::int64_t i = 0; i < legacy.numel(); ++i)
-    EXPECT_EQ(routed[i], legacy[i]) << i;
-}
-
-/// GENIEx has no chunk override: the default mvm_chunks_active
-/// materializes v_unit * float(code), the volts the legacy float DAC
-/// applies, so routing it through the integer DAC phase must not move a
-/// bit. An untrained surrogate behind a narrow trust envelope sends some
-/// samples to the fast-noise fallback on both routes.
-TEST(IntPath, GeniexIntChunksBitIdenticalToLegacyFloat) {
-  Rng rng(73);
-  const auto cfg = tiny_config(16);
-  Rng mlp_rng(74);
-  xbar::GeniexGuardOptions narrow;
-  narrow.rel_min = -0.02f;
-  narrow.rel_max = 0.02f;
-  auto model = std::make_shared<xbar::GeniexModel>(
-      cfg, xbar::MlpRegressor(xbar::kGeniexFeatureCount, 8, mlp_rng), narrow);
-  Tensor w = Tensor::normal({20, 18}, 0.0f, 0.4f, rng);
-  Tensor x({18, 5});
-  for (std::int64_t i = 0; i < x.numel(); ++i)
-    x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
-  puma::TiledMatrix tiled(w, model, puma::HwConfig{});
-  metrics::Counter& chunk_mms =
-      metrics::counter("puma/tiled/matmuls_int_chunks");
-
-  Tensor legacy, routed;
-  {
-    puma::ScopedIntPathForTests off(false);
-    const std::uint64_t before =
-        health_value(HealthCounter::SurrogateFallback);
-    legacy = tiled.matmul(x, 0.0f);
-    EXPECT_GT(health_value(HealthCounter::SurrogateFallback), before)
-        << "no fallback on the legacy route";
-  }
-  {
-    puma::ScopedIntPathForTests on(true);
-    const std::uint64_t before = chunk_mms.value();
-    const std::uint64_t fallbacks =
-        health_value(HealthCounter::SurrogateFallback);
-    routed = tiled.matmul(x, 0.0f);
-    EXPECT_GT(chunk_mms.value(), before) << "int chunk path did not engage";
-    EXPECT_GT(health_value(HealthCounter::SurrogateFallback), fallbacks)
-        << "no fallback on the int chunk route";
-  }
-  ASSERT_EQ(legacy.numel(), routed.numel());
-  for (std::int64_t i = 0; i < legacy.numel(); ++i)
-    EXPECT_EQ(float_bits(routed[i]), float_bits(legacy[i])) << i;
-}
-
-/// ideal: the fully-digital int path computes the exact integer dot
-/// products the analog model only approximates through pre-rounded float
-/// conductances and a double accumulation, so outputs can differ — but
-/// only where the ADC rounds a near-tie the other way, i.e. by at most
-/// one ADC step per shift-add term.
-TEST(IntPath, IdealIntDigitalMatchesLegacyWithinAdcRounding) {
-  Rng rng(72);
-  const auto cfg = tiny_config(16);
-  Tensor w = Tensor::normal({20, 18}, 0.0f, 0.4f, rng);
-  Tensor x({18, 5});
-  for (std::int64_t i = 0; i < x.numel(); ++i)
-    x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
-  auto model = std::make_shared<xbar::IdealXbarModel>(cfg);
-  puma::TiledMatrix tiled(w, model, puma::HwConfig{});
-  metrics::Counter& digital_mms =
-      metrics::counter("puma/tiled/matmuls_int_digital");
-
-  Tensor legacy, digital;
-  {
-    puma::ScopedIntPathForTests off(false);
-    legacy = tiled.matmul(x, 0.0f);
-  }
-  {
-    puma::ScopedIntPathForTests on(true);
-    const std::uint64_t before = digital_mms.value();
-    digital = tiled.matmul(x, 0.0f);
-    EXPECT_GT(digital_mms.value(), before) << "int digital path not engaged";
-  }
-  ASSERT_EQ(legacy.numel(), digital.numel());
-  ASSERT_GT(legacy.abs_max(), 0.0f);
-  const float tol = 1e-3f * legacy.abs_max() + 1e-6f;
-  for (std::int64_t i = 0; i < legacy.numel(); ++i)
-    EXPECT_NEAR(digital[i], legacy[i], tol) << i;
-}
-
-/// Both int routes must themselves be deterministic across ISA tiers and
-/// thread counts (the existing TiledMatmul cross-product runs with the
-/// int path live by default; this pins the gate explicitly on).
+/// Both int routes must be deterministic across ISA tiers and thread
+/// counts.
 TEST(IntPath, IntRoutesDeterministicAcrossIsasAndThreads) {
   Rng rng(73);
   const auto cfg = tiny_config(16);
@@ -934,7 +817,6 @@ TEST(IntPath, IntRoutesDeterministicAcrossIsasAndThreads) {
   Tensor x({18, 5});
   for (std::int64_t i = 0; i < x.numel(); ++i)
     x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
-  puma::ScopedIntPathForTests on(true);
   for (const bool fast_noise : {false, true}) {
     std::shared_ptr<const xbar::MvmModel> model;
     if (fast_noise)
@@ -970,8 +852,8 @@ TEST(IntPath, IntRoutesDeterministicAcrossIsasAndThreads) {
 /// route computes exact integer dot products and would silently erase the
 /// fault rewrite (stuck cells, dead lines, drift) the wrapper applies to
 /// the programmed conductances; FaultModel(ideal) is only "ideal" in name.
-/// Pinned as bit-identity across the int-path gate and every ISA tier,
-/// plus the route counter staying flat.
+/// Pinned as bit-identity across every ISA tier, plus the route counter
+/// staying flat.
 TEST(IntPath, FaultWrappedIdealNeverTakesDigitalRoute) {
   Rng rng(74);
   const auto cfg = tiny_config(16);
@@ -988,37 +870,29 @@ TEST(IntPath, FaultWrappedIdealNeverTakesDigitalRoute) {
 
   Tensor ref;
   {
-    puma::ScopedIntPathForTests off(false);
     simd::ScopedIsaForTests scope(simd::Isa::Scalar);
     ref = tiled.matmul(x, 0.0f);
   }
   ASSERT_GT(ref.abs_max(), 0.0f);
-  for (const bool int_path : {false, true}) {
-    puma::ScopedIntPathForTests gate(int_path);
-    for (simd::Isa isa : test_isas()) {
-      simd::ScopedIsaForTests scope(isa);
-      const std::uint64_t before = digital_mms.value();
-      Tensor out = tiled.matmul(x, 0.0f);
-      EXPECT_EQ(digital_mms.value(), before)
-          << "digital route engaged for fault-wrapped model (int_path="
-          << int_path << " isa=" << simd::isa_name(isa) << ")";
-      for (std::int64_t i = 0; i < out.numel(); ++i)
-        EXPECT_EQ(out[i], ref[i]) << "int_path=" << int_path
-                                  << " isa=" << simd::isa_name(isa)
-                                  << " i=" << i;
-    }
+  for (simd::Isa isa : test_isas()) {
+    simd::ScopedIsaForTests scope(isa);
+    const std::uint64_t before = digital_mms.value();
+    Tensor out = tiled.matmul(x, 0.0f);
+    EXPECT_EQ(digital_mms.value(), before)
+        << "digital route engaged for fault-wrapped model (isa="
+        << simd::isa_name(isa) << ")";
+    for (std::int64_t i = 0; i < out.numel(); ++i)
+      EXPECT_EQ(out[i], ref[i]) << "isa=" << simd::isa_name(isa) << " i=" << i;
   }
 }
 
 /// Models without a chunk override (the circuit solver, and the Fault /
-/// Variation decorators over any base) take the integer DAC route by
-/// default. The base mvm_chunks_active materializes v_unit * float(code),
-/// the volts the legacy float DAC applies, and a stream's default
-/// mvm_chunks_active forwards through that same stream, so the solver's
-/// warm starts see the same block sequence. Fault(fast_noise) programs
-/// fast-noise tiles, so it also runs fused kernels. Pinned bit for bit
-/// against the legacy route.
-TEST(IntPath, DefaultChunkRouteBitIdenticalToLegacyFloat) {
+/// Variation decorators over any base) take the integer DAC route: the
+/// base mvm_chunks_active materializes v_unit * float(code), and a
+/// stream's default mvm_chunks_active forwards through that same stream,
+/// so the solver still warm-starts. Each is deterministic across thread
+/// counts.
+TEST(IntPath, DefaultChunkRouteServesSolverAndDecorators) {
   Rng rng(76);
   Rng mlp_rng(77);
   const auto cfg = tiny_config(16);
@@ -1057,27 +931,26 @@ TEST(IntPath, DefaultChunkRouteBitIdenticalToLegacyFloat) {
       x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
     puma::TiledMatrix tiled(w, model, puma::HwConfig{});
 
-    Tensor legacy, routed;
+    Tensor ref;
     {
-      puma::ScopedIntPathForTests off(false);
-      legacy = tiled.matmul(x, 0.0f);
-    }
-    {
-      puma::ScopedIntPathForTests on(true);
+      ThreadPool serial(1);
+      ThreadPool::ScopedUse use(serial);
       const std::uint64_t chunks0 = chunk_mms.value();
       const std::uint64_t warm0 = warm.value();
-      routed = tiled.matmul(x, 0.0f);
+      ref = tiled.matmul(x, 0.0f);
       EXPECT_GT(chunk_mms.value(), chunks0)
           << tag << ": int chunk path did not engage";
       if (tag == "circuit_solver") {
         EXPECT_GT(warm.value(), warm0) << "solver streams did not warm-start";
       }
     }
-    ASSERT_GT(legacy.abs_max(), 0.0f) << tag;
-    ASSERT_EQ(legacy.numel(), routed.numel()) << tag;
-    for (std::int64_t i = 0; i < legacy.numel(); ++i)
-      EXPECT_EQ(float_bits(routed[i]), float_bits(legacy[i]))
-          << tag << " i=" << i;
+    ASSERT_GT(ref.abs_max(), 0.0f) << tag;
+    ThreadPool pool(3);
+    ThreadPool::ScopedUse use(pool);
+    Tensor out = tiled.matmul(x, 0.0f);
+    ASSERT_EQ(out.numel(), ref.numel()) << tag;
+    for (std::int64_t i = 0; i < out.numel(); ++i)
+      EXPECT_EQ(float_bits(out[i]), float_bits(ref[i])) << tag << " i=" << i;
   }
 }
 
