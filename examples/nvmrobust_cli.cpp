@@ -613,7 +613,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   manifest.add_result("queue_p99_ms", rep.queue_p99_ms);
   manifest.add_result("mean_batch", rep.mean_batch);
   // Order-sensitive label checksum (FNV-1a over index+label), so scripted
-  // A/B runs (e.g. NVM_PLAN=0 vs 1 in check.sh) can assert bit-identical
+  // A/B runs (e.g. NVM_THREADS=1 vs 4 in check.sh) can assert bit-identical
   // classifications from the manifest alone. Kept in double-exact range.
   std::uint64_t lsum = 1469598103934665603ull;
   for (std::size_t i = 0; i < rep.labels.size(); ++i) {
@@ -811,10 +811,7 @@ void usage() {
       "NVM_FLEET_SEED / NVM_FLEET_POLICY\n"
       "every command also accepts --metrics-out PATH (or NVM_METRICS_OUT)\n"
       "to write a JSON run manifest, and --trace-events PATH (or\n"
-      "NVM_TRACE_EVENTS) to write a chrome://tracing / Perfetto timeline\n"
-      "NVM_PLAN=0 disables the fused execution plans (the lazily-compiled\n"
-      "per-matrix schedules, cached under NVMROBUST_CACHE_DIR) and runs\n"
-      "the bit-identical op-by-op interpreter instead\n");
+      "NVM_TRACE_EVENTS) to write a chrome://tracing / Perfetto timeline\n");
 }
 
 }  // namespace

@@ -226,51 +226,50 @@ else
   echo "== tier-1: perf gate skipped (needs python3) =="
 fi
 
-# Execution-plan legs (DESIGN.md §17). The plan path (NVM_PLAN=1, the
-# default) must be bit-identical to the interpreter (NVM_PLAN=0): the
-# quickstart accuracy and every served label must match exactly. The serve
-# parameters are the shed-free smoke parameters (big queue, modest rate),
-# so the labels checksum covers identical request sets on both legs.
-plan_identity_check() {
+# Thread-count identity legs. Every result is bit-identical for any
+# NVM_THREADS: the quickstart accuracy and every served label must match
+# exactly between 1 and 4 threads. The serve parameters are the shed-free
+# smoke parameters (big queue, modest rate), so the labels checksum covers
+# identical request sets on both legs.
+thread_identity_check() {
   local cli="$1" tag="$2"
-  local m0=/tmp/nvmrobust_check_plan0.json m1=/tmp/nvmrobust_check_plan1.json
-  rm -f "$m0" "$m1"
-  NVM_PLAN=0 "$cli" quickstart --metrics-out "$m0" >/dev/null
-  NVM_PLAN=1 "$cli" quickstart --metrics-out "$m1" >/dev/null
-  python3 - "$m0" "$m1" <<'EOF'
+  local m1=/tmp/nvmrobust_check_threads1.json m4=/tmp/nvmrobust_check_threads4.json
+  rm -f "$m1" "$m4"
+  NVM_THREADS=1 "$cli" quickstart --metrics-out "$m1" >/dev/null
+  NVM_THREADS=4 "$cli" quickstart --metrics-out "$m4" >/dev/null
+  python3 - "$m1" "$m4" <<'EOF'
 import json, sys
 a, b = (json.load(open(p)) for p in sys.argv[1:3])
 assert a["results"]["hw_accuracy"] == b["results"]["hw_accuracy"], \
-    "quickstart accuracy differs between interpreter and plan: %r vs %r" % (
+    "quickstart accuracy differs between 1 and 4 threads: %r vs %r" % (
         a["results"]["hw_accuracy"], b["results"]["hw_accuracy"])
-assert b["metrics"].get("plan/executes", 0) > 0, \
-    "NVM_PLAN=1 quickstart never executed a plan"
-assert "plan/executes" not in a["metrics"] or a["metrics"]["plan/executes"] == 0
-print("plan identity ok (quickstart): hw_accuracy %.2f on both paths"
+assert b["metrics"].get("puma/tiled/matmuls", 0) > 0, \
+    "quickstart never ran a tiled matmul"
+print("thread identity ok (quickstart): hw_accuracy %.2f on both"
       % a["results"]["hw_accuracy"])
 EOF
-  rm -f "$m0" "$m1"
-  NVM_PLAN=0 "$cli" serve --requests 200 --rate 1500 --queue 1024 \
-    --metrics-out "$m0" >/dev/null
-  NVM_PLAN=1 "$cli" serve --requests 200 --rate 1500 --queue 1024 \
+  rm -f "$m1" "$m4"
+  NVM_THREADS=1 "$cli" serve --requests 200 --rate 1500 --queue 1024 \
     --metrics-out "$m1" >/dev/null
-  python3 - "$m0" "$m1" <<'EOF'
+  NVM_THREADS=4 "$cli" serve --requests 200 --rate 1500 --queue 1024 \
+    --metrics-out "$m4" >/dev/null
+  python3 - "$m1" "$m4" <<'EOF'
 import json, sys
 a, b = (json.load(open(p)) for p in sys.argv[1:3])
 assert a["results"]["requests_shed"] == 0 and b["results"]["requests_shed"] == 0
 assert a["results"]["labels_checksum"] == b["results"]["labels_checksum"], \
-    "served labels differ between interpreter and plan"
-print("plan identity ok (serve): labels checksum %d on both paths"
+    "served labels differ between 1 and 4 threads"
+print("thread identity ok (serve): labels checksum %d on both"
       % a["results"]["labels_checksum"])
 EOF
-  echo "plan identity ok ($tag)"
+  echo "thread identity ok ($tag)"
 }
 
 if command -v python3 >/dev/null 2>&1; then
-  echo "== tier-1: execution-plan identity (NVM_PLAN=0 vs 1) =="
-  plan_identity_check ./build/examples/nvmrobust_cli release
+  echo "== tier-1: thread-count identity (NVM_THREADS=1 vs 4) =="
+  thread_identity_check ./build/examples/nvmrobust_cli release
 else
-  echo "== tier-1: plan legs skipped (needs python3) =="
+  echo "== tier-1: thread identity legs skipped (needs python3) =="
 fi
 
 # Numeric-parsing regression: a fully non-numeric value handed to a double
@@ -309,8 +308,8 @@ echo "== sanitizer: cluster drain race under ASan+UBSan =="
 cluster_drain_smoke ./build-asan/examples/nvmrobust_cli /tmp/nvmrobust_check_cluster_asan.json
 
 if command -v python3 >/dev/null 2>&1; then
-  echo "== sanitizer: plan identity under ASan+UBSan =="
-  plan_identity_check ./build-asan/examples/nvmrobust_cli asan
+  echo "== sanitizer: thread-count identity under ASan+UBSan =="
+  thread_identity_check ./build-asan/examples/nvmrobust_cli asan
 fi
 
 if command -v python3 >/dev/null 2>&1; then
@@ -331,7 +330,7 @@ if command -v python3 >/dev/null 2>&1; then
 fi
 
 # Concurrency under ThreadSanitizer: the suites that drive the thread pool,
-# the sharded metrics counters, the parallel tiled matmul and its plans,
+# the sharded metrics counters, the parallel tiled matmul and its fused slots,
 # parallel tile programming and the lazily programmed GENIEx fallback, the
 # serving scheduler and cluster, telemetry rings, trace spans and the fleet
 # simulator. Only those test binaries are built in the tsan tree; ctest
@@ -340,9 +339,9 @@ fi
 echo "== sanitizer: concurrent suites under TSan =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS" --target test_thread_pool test_simd \
-  test_ir_plan test_serve test_serve_cluster test_telemetry test_metrics \
+  test_puma test_serve test_serve_cluster test_telemetry test_metrics \
   test_fleet test_xbar_geniex test_hw_semantics
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" --no-tests=error \
-  -R '^((ThreadPool|Metrics|TiledMatmul|PlanTest|Serve|ServeCluster|TelemetryTest|Trace|FleetChip|FleetSim|Scheduler|Sla)\.|HwSemantics\.TiledProgrammingBitIdenticalAcrossThreadCounts$|Geniex\.LazyFallbackProgrammedOnceUnderConcurrentTrips$)'
+  -R '^((ThreadPool|Metrics|TiledMatmul|FusedSlots|Serve|ServeCluster|TelemetryTest|Trace|FleetChip|FleetSim|Scheduler|Sla)\.|HwSemantics\.TiledProgrammingBitIdenticalAcrossThreadCounts$|Geniex\.LazyFallbackProgrammedOnceUnderConcurrentTrips$)'
 
 echo "== all checks passed =="

@@ -34,8 +34,8 @@ run cost_model "$BUILD/bench/bench_cost_model"
 # the multi-RHS family (looped vs mvm_multi items/sec at block 1/8/32/128,
 # plus bench/simd/gflops from the widest ideal block), the solver
 # warm-start A/B (sweeps_per_matmul with streaming off/on), and the
-# red-black vs lexicographic sweep-schedule A/B, and the execution-plan
-# interpreter-vs-fused A/B (bench/plan/tiled_matmul_speedup), the
+# red-black vs lexicographic sweep-schedule A/B, and the unfused-vs-fused
+# tile-slot A/B (bench/plan/tiled_matmul_speedup), the
 # GENIEx evaluation over ResNet-20 tile shapes (bench/geniex/active_*_us,
 # one row also on two concurrent threads), programming a ResNet-20's
 # tiles at 1 and 2 threads (bench/tiled/program_resnet20_t*_ms), the

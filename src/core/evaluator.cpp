@@ -3,20 +3,10 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "puma/plan.h"
 
 namespace nvm::core {
 
 ForwardFn plain_forward(nn::Network& net) {
-  // With NVM_PLAN on (the default), capture the layer walk once and replay
-  // the linearized plan; networks the IR cannot represent (eval hooks,
-  // unknown layers) keep the eager walk.
-  if (puma::plan_enabled()) {
-    if (std::shared_ptr<puma::NetworkPlan> plan =
-            puma::NetworkPlan::capture(net)) {
-      return [plan](const Tensor& x) { return plan->forward(x); };
-    }
-  }
   return [&net](const Tensor& x) { return net.forward(x, nn::Mode::Eval); };
 }
 

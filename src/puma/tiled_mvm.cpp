@@ -13,10 +13,20 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "puma/bit_slicing.h"
-#include "puma/plan.h"
 #include "puma/quantize.h"
 
 namespace nvm::puma {
+
+namespace {
+
+/// Volts per DAC code step: full scale over the 2^stream_bits - 1 steps.
+float dac_volts_per_code(const xbar::CrossbarConfig& cfg, const HwConfig& hw) {
+  return static_cast<float>(
+      cfg.v_read /
+      static_cast<double>((std::int64_t{1} << hw.stream_bits) - 1));
+}
+
+}  // namespace
 
 std::int64_t HwConfig::weight_slices() const {
   return slice_count(weight_bits - 1, slice_bits);
@@ -79,6 +89,9 @@ TiledMatrix::TiledMatrix(const Tensor& w,
   const std::int64_t tmax = (std::int64_t{1} << hw_.stream_bits) - 1;
   if (model_->is_ideal() && cfg.rows * smax * tmax < (std::int64_t{1} << 24))
     wchunks_.resize(tiles_.size());
+  else
+    kernels_.resize(tiles_.size());
+  const float v_unit = dac_volts_per_code(cfg, hw_);
   const float* pq = qw.q.raw();  // (M x K)
   parallel_for(slots, [&](std::int64_t slot) {
     const std::int64_t s = slot % slices;
@@ -110,17 +123,28 @@ TiledMatrix::TiledMatrix(const Tensor& w,
             g_off + g_unit * chunk[static_cast<std::size_t>(kk * m_used + mm)];
     tiles_[static_cast<std::size_t>(slot)] = model_->program(g);
     // Same chunk values as the programmed conductances, kept as int8 for
-    // the fully-digital int path.
+    // the fully-digital int path. Other models get the tile's fused chunk
+    // kernel, where it has one (input-independent per-cell tables; a
+    // slot without one runs the tile's stream).
     if (!wchunks_.empty())
       wchunks_[static_cast<std::size_t>(slot)].assign(chunk.begin(),
                                                       chunk.end());
+    else
+      kernels_[static_cast<std::size_t>(slot)] =
+          tiles_[static_cast<std::size_t>(slot)]->compile_chunk_kernel(
+              v_unit, static_cast<int>(tmax));
   });
   programmed_count_ = static_cast<std::int64_t>(
       std::count_if(tiles_.begin(), tiles_.end(),
                     [](const auto& t) { return t != nullptr; }));
   static metrics::Counter& programmed =
       metrics::counter("puma/tiled/tiles_programmed");
+  static metrics::Counter& fused =
+      metrics::counter("puma/tiled/fused_slots");
   programmed.add(static_cast<std::uint64_t>(programmed_count_));
+  fused.add(static_cast<std::uint64_t>(
+      std::count_if(kernels_.begin(), kernels_.end(),
+                    [](const auto& k) { return k != nullptr; })));
 }
 
 TiledMatrix::~TiledMatrix() = default;
@@ -129,18 +153,7 @@ std::int64_t TiledMatrix::total_tile_slots() const {
   return row_tiles_ * col_tiles_ * 2 * hw_.weight_slices();
 }
 
-const MvmPlan* TiledMatrix::plan() const {
-  std::call_once(plan_once_, [&] { plan_ = MvmPlan::compile(*this); });
-  return plan_.get();
-}
-
 Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
-  // Plan route (DESIGN.md §17): compile once, then run the fused schedule.
-  // NVM_PLAN=0 restores the interpreter below, the bit-identity reference.
-  if (plan_enabled()) {
-    if (const MvmPlan* p = plan(); p != nullptr)
-      return p->execute(*this, x, input_scale);
-  }
   NVM_TRACE_SPAN("puma/tiled/matmul");
   static metrics::Counter& m_matmuls = metrics::counter("puma/tiled/matmuls");
   m_matmuls.add();
@@ -174,8 +187,7 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
 
   const std::int64_t slices = hw_.weight_slices();
   const std::int64_t streams = hw_.input_streams();
-  const float v_unit = static_cast<float>(
-      cfg.v_read / static_cast<double>((std::int64_t{1} << hw_.stream_bits) - 1));
+  const float v_unit = dac_volts_per_code(cfg, hw_);
   const float g_unit = static_cast<float>(
       (cfg.g_on() - cfg.g_off()) /
       static_cast<double>((std::int64_t{1} << hw_.slice_bits) - 1));
@@ -193,7 +205,7 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   // bit-identical for any NVM_THREADS because every parallel unit owns
   // disjoint output and the cross-slot reduction happens in a fixed order.
   //
-  // Phase 1 — DAC: per (row tile, stream) voltage blocks and g_off
+  // Phase 1 — DAC: per (row tile, stream) code blocks and g_off
   // baselines, independent across row tiles.
   struct StreamBlock {
     std::vector<std::int8_t> chunk;    // (cfg.rows, n) DAC codes
@@ -208,10 +220,11 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
     const std::int64_t k1 = std::min(k_, k0 + cfg.rows);
     const std::int64_t k_used = k1 - k0;
 
-    // The zero-padded integer input block lives in reused per-thread
-    // workspace; only the chunks that outlive this phase are allocated.
-    // The float baseline is exact: float(integer column sum).
-    thread_local simd::Workspace ws;
+    // The zero-padded integer input block lives in pooled workspace; only
+    // the chunks that outlive this phase are allocated. The float baseline
+    // is exact: float(integer column sum).
+    simd::WorkspacePool::Lease lease = simd::shared_workspace_pool().acquire();
+    simd::Workspace& ws = lease.get();
     const std::size_t cells = static_cast<std::size_t>(cfg.rows * n);
     std::span<std::int16_t> xblock = ws.i16s(0, cells);
     std::copy(xq16.begin() + static_cast<std::ptrdiff_t>(k0 * n),
@@ -253,14 +266,17 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
 
   // Phase 2 — crossbar passes: every programmed tile slot
   // (row tile, col tile, polarity, slice) is an independent task that
-  // streams its input chunks, ADC-quantizes, and shift-adds into a
+  // runs its active input chunks, ADC-quantizes, and shift-adds into a
   // slot-local partial sum.
   const std::int64_t slots = total_tile_slots();
   std::vector<Tensor> partial(static_cast<std::size_t>(slots));
   static metrics::Counter& m_tile_mvms =
       metrics::counter("puma/tiled/tile_mvms");
+  static metrics::Counter& m_fused_runs =
+      metrics::counter("puma/tiled/fused_runs");
   parallel_for(slots, [&](std::int64_t slot) {
-    xbar::ProgrammedXbar* tile = tiles_[static_cast<std::size_t>(slot)].get();
+    const std::size_t si = static_cast<std::size_t>(slot);
+    xbar::ProgrammedXbar* tile = tiles_[si].get();
     if (tile == nullptr) return;
     const std::int64_t s = slot % slices;
     const std::int64_t q = slot / slices;
@@ -271,64 +287,71 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
     const std::int64_t m_used = std::min(m_, (tj + 1) * cfg.cols) - tj * cfg.cols;
     const float sign = (pol == 0) ? 1.0f : -1.0f;
     const float slice_w = chunk_weight(s, hw_.slice_bits);
+    simd::WorkspacePool::Lease lease = simd::shared_workspace_pool().acquire();
+    simd::Workspace& ws = lease.get();
+    const std::size_t outs = static_cast<std::size_t>(m_used * n);
+
+    // Three ways to get a pass's column outputs. Fully digital: the ideal
+    // tile's analog output IS the dot product, so it is computed in
+    // int8/int32 and fed to the integer ADC epilogue (the model tile is
+    // not consulted). Fused: the slot's compiled kernel gathers currents
+    // into pooled scratch. Otherwise one stream per tile visit, so chunk
+    // t+1 reuses state chunk t left behind (e.g. the circuit solver's
+    // converged node voltages as a warm start).
+    const xbar::FusedChunkKernel* kernel =
+        kernels_.empty() ? nullptr : kernels_[si].get();
+    std::unique_ptr<xbar::XbarStream> stream;
+    std::span<std::int32_t> dot;
+    std::span<float> cur;
+    if (path == Path::kIntDigital) {
+      dot = ws.i32s(1, outs);
+    } else if (kernel != nullptr) {
+      cur = ws.floats(3, outs);
+      m_fused_runs.add();
+    } else {
+      stream = tile->open_stream();
+    }
 
     Tensor acc;
     std::uint64_t passes = 0;
-
-    if (path == Path::kIntDigital) {
-      // Fully digital: the ideal tile's analog output IS the dot product,
-      // so compute it in int8/int32 and feed the integer ADC epilogue. The
-      // model tiles are not consulted.
-      const std::vector<std::int8_t>& w8 =
-          wchunks_[static_cast<std::size_t>(slot)];
-      thread_local simd::Workspace ws;
-      std::span<std::int32_t> dot =
-          ws.i32s(1, static_cast<std::size_t>(m_used * n));
-      for (std::int64_t t = 0; t < streams; ++t) {
-        const StreamBlock& sb =
-            dac[static_cast<std::size_t>(ti * streams + t)];
-        if (!sb.active) continue;
-        ++passes;
+    for (std::int64_t t = 0; t < streams; ++t) {
+      const StreamBlock& sb = dac[static_cast<std::size_t>(ti * streams + t)];
+      if (!sb.active) continue;
+      ++passes;
+      const float shift =
+          sign * chunk_weight(t, hw_.stream_bits) * slice_w / dot_unit;
+      if (acc.numel() == 0) acc = Tensor({m_used, n});
+      if (path == Path::kIntDigital) {
         std::fill(dot.begin(), dot.end(), 0);
-        simd::gemm_at_i8_i32acc(dot.data(), w8.data(), sb.chunk.data(),
-                                m_used, n, k_used, m_used, n, n);
-        const float shift =
-            sign * chunk_weight(t, hw_.stream_bits) * slice_w / dot_unit;
-        if (acc.numel() == 0) acc = Tensor({m_used, n});
+        simd::gemm_at_i8_i32acc(dot.data(), wchunks_[si].data(),
+                                sb.chunk.data(), m_used, n, k_used, m_used,
+                                n, n);
         for (std::int64_t mm = 0; mm < m_used; ++mm)
           simd::adc_shift_add_i32(acc.raw() + mm * n, dot.data() + mm * n,
                                   sb.baseline.data(), n, dot_unit, i_scale,
                                   adc_steps, shift);
+        continue;
       }
-    } else {
-      // One stream per tile visit: chunk t+1 reuses state chunk t left
-      // behind (e.g. the circuit solver's converged node voltages as a
-      // warm start).
-      std::unique_ptr<xbar::XbarStream> stream = tile->open_stream();
-      for (std::int64_t t = 0; t < streams; ++t) {
-        const StreamBlock& sb =
-            dac[static_cast<std::size_t>(ti * streams + t)];
-        if (!sb.active) continue;
-        ++passes;
-        xbar::ChunkBlock cb;
-        cb.chunk = sb.chunk.data();
-        cb.row_max = sb.row_max.data();
-        cb.rows = cfg.rows;
-        cb.n = n;
-        cb.v_unit = v_unit;
-        const Tensor currents =  // (cols, n)
-            stream->mvm_chunks_active(cb, k_used, m_used);
-        const float shift =
-            sign * chunk_weight(t, hw_.stream_bits) * slice_w / dot_unit;
-        if (acc.numel() == 0) acc = Tensor({m_used, n});
-        for (std::int64_t mm = 0; mm < m_used; ++mm)
-          simd::adc_shift_add(acc.raw() + mm * n, currents.raw() + mm * n,
-                              sb.baseline.data(), n, i_scale, adc_steps,
-                              shift);
+      xbar::ChunkBlock cb;
+      cb.chunk = sb.chunk.data();
+      cb.row_max = sb.row_max.data();
+      cb.rows = cfg.rows;
+      cb.n = n;
+      cb.v_unit = v_unit;
+      Tensor streamed;  // (cols, n)
+      const float* currents = cur.data();
+      if (kernel != nullptr) {
+        kernel->run(cb, k_used, m_used, cur.data(), ws);
+      } else {
+        streamed = stream->mvm_chunks_active(cb, k_used, m_used);
+        currents = streamed.raw();
       }
+      for (std::int64_t mm = 0; mm < m_used; ++mm)
+        simd::adc_shift_add(acc.raw() + mm * n, currents + mm * n,
+                            sb.baseline.data(), n, i_scale, adc_steps, shift);
     }
     if (passes != 0) m_tile_mvms.add(passes);
-    partial[static_cast<std::size_t>(slot)] = std::move(acc);
+    partial[si] = std::move(acc);
   });
 
   // Phase 3 — reduction: each output col tile owns disjoint result rows

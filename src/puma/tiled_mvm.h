@@ -9,8 +9,8 @@
 //      programmed through the configured crossbar MvmModel.
 //
 // Every subsequent matmul(X) quantizes the (non-negative) activations to
-// `input_bits`, streams them `stream_bits` at a time as DAC voltages,
-// evaluates all programmed tiles, ADC-quantizes the analog column
+// `input_bits`, streams them `stream_bits` at a time as integer DAC
+// codes, evaluates all programmed tiles, ADC-quantizes the analog column
 // currents, subtracts the g_off baseline digitally, and shift-adds
 // everything back into a float result approximating W * X.
 //
@@ -25,14 +25,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "xbar/mvm_model.h"
 
 namespace nvm::puma {
-
-class MvmPlan;
 
 struct HwConfig {
   std::int64_t weight_bits = 7;  ///< signed; magnitude = weight_bits - 1
@@ -74,15 +71,9 @@ class TiledMatrix {
   /// Approximates W * X. `x` is (K, N), elementwise >= 0. `input_scale`
   /// fixes the activation quantization range; pass <= 0 for dynamic
   /// (per-call max) scaling. Tile evaluations run on the current
-  /// nvm::ThreadPool; safe to call concurrently (tiles are immutable).
-  /// With NVM_PLAN enabled (the default) the call runs through a lazily
-  /// compiled, fused MvmPlan — bit-identical to the interpreter body,
-  /// which NVM_PLAN=0 restores.
+  /// nvm::ThreadPool; safe to call concurrently (tiles and kernels are
+  /// immutable).
   Tensor matmul(const Tensor& x, float input_scale = 0.0f) const;
-
-  /// The compiled plan, building it on first use (test/bench hook; matmul
-  /// calls this internally when the plan gate is on).
-  const MvmPlan* plan() const;
 
   std::int64_t rows() const { return m_; }
   std::int64_t cols() const { return k_; }
@@ -104,11 +95,10 @@ class TiledMatrix {
   /// per-tile dot counts stay below 2^24 (the fully-digital int path);
   /// same indexing and skip pattern as tiles_.
   std::vector<std::vector<std::int8_t>> wchunks_;
-  /// Lazily compiled execution plan (immutable once built; call_once
-  /// keeps concurrent matmuls race-free).
-  friend class MvmPlan;
-  mutable std::once_flag plan_once_;
-  mutable std::unique_ptr<MvmPlan> plan_;
+  /// Per-slot fused chunk kernels, compiled next to program() for
+  /// non-digital models; same indexing as tiles_, null where the tile has
+  /// no fused form (that slot runs the tile's stream).
+  std::vector<std::unique_ptr<xbar::FusedChunkKernel>> kernels_;
 };
 
 }  // namespace nvm::puma

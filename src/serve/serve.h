@@ -74,8 +74,6 @@ class TiledLinearBackend final : public BatchClassifier {
   std::int64_t classes() const override { return tiled_.rows(); }
   Tensor logits_block(const Tensor& x_block) override;
 
-  const puma::TiledMatrix& tiled() const { return tiled_; }
-
  private:
   puma::TiledMatrix tiled_;
   float input_scale_;

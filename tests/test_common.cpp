@@ -452,5 +452,44 @@ TEST(Env, EnvIntRejectsTrailingGarbageAndOverflow) {
   ::unsetenv("NVM_TEST_INT");
 }
 
+TEST(ParseDouble, AcceptsWellFormedNumbers) {
+  double v = 0.0;
+  EXPECT_TRUE(parse_double("0.25", &v));
+  EXPECT_EQ(v, 0.25);
+  EXPECT_TRUE(parse_double("-3e2", &v));
+  EXPECT_EQ(v, -300.0);
+  EXPECT_TRUE(parse_double("  7.5", &v));  // leading space: strtod skips
+  EXPECT_EQ(v, 7.5);
+  EXPECT_TRUE(parse_double("8.0 ", &v));  // trailing space tolerated
+  EXPECT_EQ(v, 8.0);
+}
+
+TEST(ParseDouble, RejectsMalformedInputWithoutThrowing) {
+  // Regression: these strings previously reached std::stod in the CLI
+  // (flag_or / parse_list / fleet_param) and terminated the process with
+  // an uncaught std::invalid_argument. The strict parser must report
+  // failure instead of throwing.
+  double v = 42.0;
+  EXPECT_FALSE(parse_double("abc", &v));
+  EXPECT_FALSE(parse_double("", &v));
+  EXPECT_FALSE(parse_double(nullptr, &v));
+  EXPECT_FALSE(parse_double("0.1x", &v));  // trailing junk (stod half-parses!)
+  EXPECT_FALSE(parse_double("--2", &v));
+  EXPECT_FALSE(parse_double("1e999", &v));  // ERANGE
+  EXPECT_EQ(v, 42.0) << "failed parse must not clobber the output";
+}
+
+TEST(EnvDouble, FallsBackOnUnsetAndMalformed) {
+  ::unsetenv("NVM_TEST_DBL");
+  EXPECT_EQ(env_double("NVM_TEST_DBL", 1.5), 1.5);
+  ::setenv("NVM_TEST_DBL", "2.75", 1);
+  EXPECT_EQ(env_double("NVM_TEST_DBL", 1.5), 2.75);
+  ::setenv("NVM_TEST_DBL", "not-a-number", 1);
+  EXPECT_EQ(env_double("NVM_TEST_DBL", 1.5), 1.5);
+  ::setenv("NVM_TEST_DBL", "3.5junk", 1);
+  EXPECT_EQ(env_double("NVM_TEST_DBL", 1.5), 1.5);
+  ::unsetenv("NVM_TEST_DBL");
+}
+
 }  // namespace
 }  // namespace nvm

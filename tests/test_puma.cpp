@@ -1,17 +1,27 @@
-// Quantization, bit-slicing, tiled crossbar GEMM, and engine tests.
+// Quantization, bit-slicing, tiled crossbar GEMM (including fused vs
+// unfused tile slots), and engine tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/check.h"
 
-#include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/metrics.h"
+#include "common/simd.h"
+#include "common/thread_pool.h"
 #include "puma/bit_slicing.h"
 #include "puma/engine.h"
 #include "puma/quantize.h"
 #include "tensor/ops.h"
 #include "xbar/fast_noise.h"
+#include "xbar/fault.h"
+#include "xbar/geniex.h"
+#include "xbar/variation.h"
 
 namespace nvm::puma {
 namespace {
@@ -276,6 +286,222 @@ TEST(Engine, GainTrimCompensatesFastNoiseLoss) {
   // Parasitic current loss -> fitted digital gain above unity.
   EXPECT_GT(engine.output_gain(), 1.0f);
   EXPECT_LT(engine.output_gain(), 2.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Fused vs unfused tile slots
+// ---------------------------------------------------------------------------
+
+/// Forwards every evaluation virtual to the wrapped crossbar but not
+/// compile_chunk_kernel, so a TiledMatrix over it runs every slot through
+/// the tile's stream: the reference the fused kernels must match.
+class UnfusedXbar final : public xbar::ProgrammedXbar {
+ public:
+  explicit UnfusedXbar(std::unique_ptr<xbar::ProgrammedXbar> inner)
+      : inner_(std::move(inner)) {}
+  Tensor mvm(const Tensor& v) override { return inner_->mvm(v); }
+  Tensor mvm_batch(const Tensor& v) override { return inner_->mvm_batch(v); }
+  Tensor mvm_batch_active(const Tensor& v, std::int64_t rows_used,
+                          std::int64_t cols_used) override {
+    return inner_->mvm_batch_active(v, rows_used, cols_used);
+  }
+  Tensor mvm_multi(const Tensor& v) override { return inner_->mvm_multi(v); }
+  Tensor mvm_multi_active(const Tensor& v, std::int64_t rows_used,
+                          std::int64_t cols_used) override {
+    return inner_->mvm_multi_active(v, rows_used, cols_used);
+  }
+  Tensor mvm_chunks_active(const xbar::ChunkBlock& cb, std::int64_t rows_used,
+                           std::int64_t cols_used) override {
+    return inner_->mvm_chunks_active(cb, rows_used, cols_used);
+  }
+  std::unique_ptr<xbar::XbarStream> open_stream() override {
+    return inner_->open_stream();
+  }
+
+ private:
+  std::unique_ptr<xbar::ProgrammedXbar> inner_;
+};
+
+class UnfusedModel final : public xbar::MvmModel {
+ public:
+  explicit UnfusedModel(std::shared_ptr<const xbar::MvmModel> inner)
+      : inner_(std::move(inner)) {}
+  std::unique_ptr<xbar::ProgrammedXbar> program(
+      const Tensor& g) const override {
+    return std::make_unique<UnfusedXbar>(inner_->program(g));
+  }
+  const xbar::CrossbarConfig& config() const override {
+    return inner_->config();
+  }
+  std::string name() const override { return inner_->name(); }
+  bool is_ideal() const override { return inner_->is_ideal(); }
+
+ private:
+  std::shared_ptr<const xbar::MvmModel> inner_;
+};
+
+std::vector<simd::Isa> test_isas() {
+  std::vector<simd::Isa> isas{simd::Isa::Scalar};
+  for (simd::Isa isa :
+       {simd::Isa::Avx2, simd::Isa::Avx512, simd::Isa::Neon})
+    if (simd::isa_usable(isa)) isas.push_back(isa);
+  return isas;
+}
+
+/// The GENIEx surrogate for `cfg`, trained once per config in this binary
+/// (bit-identity only needs *a* deterministic surrogate).
+const xbar::GeniexFit& fit_for(const xbar::CrossbarConfig& cfg) {
+  static std::vector<std::pair<std::string, std::unique_ptr<xbar::GeniexFit>>>
+      fits;
+  for (const auto& [name, fit] : fits)
+    if (name == cfg.name) return *fit;
+  xbar::GeniexTrainOptions opt;
+  opt.solver_samples = 80;
+  fits.emplace_back(cfg.name, std::make_unique<xbar::GeniexFit>(
+                                  xbar::GeniexModel::fit(cfg, opt)));
+  return *fits.back().second;
+}
+
+struct GemmCase {
+  Tensor w, x;
+};
+
+GemmCase gemm_case(std::uint64_t seed) {
+  Rng rng(seed);
+  GemmCase c{Tensor::normal({20, 18}, 0.0f, 0.4f, rng), Tensor({18, 5})};
+  for (std::int64_t i = 0; i < c.x.numel(); ++i)
+    c.x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+  return c;
+}
+
+/// Backends x wrappers. Bare and fault-wrapped fast_noise compile fused
+/// kernels; GENIEx, variation(fast_noise) (its tiles are fast-noise too)
+/// and fault(ideal) cover the remaining routes with ideal's int-digital
+/// path: every slot kind is exercised.
+std::vector<std::pair<std::string, std::shared_ptr<const xbar::MvmModel>>>
+backend_matrix() {
+  const xbar::CrossbarConfig cfg = test_cfg();
+  auto ideal = std::make_shared<xbar::IdealXbarModel>(cfg);
+  auto fast = std::make_shared<xbar::FastNoiseModel>(cfg);
+  auto geniex = std::make_shared<xbar::GeniexModel>(cfg, fit_for(cfg).mlp);
+  xbar::FaultOptions fo;
+  fo.stuck_on_rate = 0.05;
+  fo.stuck_off_rate = 0.05;
+  return {
+      {"ideal", ideal},
+      {"fast_noise", fast},
+      {"geniex", geniex},
+      {"fault(fast_noise)", std::make_shared<xbar::FaultModel>(fast, fo)},
+      {"variation(fast_noise)",
+       std::make_shared<xbar::VariationModel>(fast,
+                                              xbar::VariationOptions{})},
+      {"fault(ideal)", std::make_shared<xbar::FaultModel>(ideal, fo)},
+  };
+}
+
+TEST(FusedSlots, BitIdenticalToUnfusedAcrossMatrix) {
+  const GemmCase c = gemm_case(71);
+  for (auto& [tag, model] : backend_matrix()) {
+    Tensor ref;
+    {
+      simd::ScopedIsaForTests scope(simd::Isa::Scalar);
+      ThreadPool serial(1);
+      ThreadPool::ScopedUse use(serial);
+      TiledMatrix unfused(c.w, std::make_shared<UnfusedModel>(model),
+                          HwConfig{});
+      ref = unfused.matmul(c.x, 0.0f);
+    }
+    ASSERT_GT(ref.abs_max(), 0.0f) << tag;
+    TiledMatrix fused(c.w, model, HwConfig{});
+    for (simd::Isa isa : test_isas()) {
+      simd::ScopedIsaForTests scope(isa);
+      for (std::size_t threads : {1u, 4u}) {
+        ThreadPool pool(threads);
+        ThreadPool::ScopedUse use(pool);
+        Tensor out = fused.matmul(c.x, 0.0f);
+        ASSERT_EQ(out.numel(), ref.numel());
+        for (std::int64_t i = 0; i < out.numel(); ++i)
+          EXPECT_EQ(out[i], ref[i])
+              << tag << " isa=" << simd::isa_name(isa)
+              << " threads=" << threads << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(FusedSlots, KernelsEngageForFastNoiseAndStayBitIdentical) {
+  const GemmCase c = gemm_case(72);
+  metrics::Counter& fused_slots = metrics::counter("puma/tiled/fused_slots");
+  metrics::Counter& fused_runs = metrics::counter("puma/tiled/fused_runs");
+  xbar::FaultOptions fo;
+  fo.stuck_on_rate = 0.05;
+  auto fast = std::make_shared<xbar::FastNoiseModel>(test_cfg());
+  for (const std::shared_ptr<const xbar::MvmModel>& model :
+       {std::static_pointer_cast<const xbar::MvmModel>(fast),
+        std::static_pointer_cast<const xbar::MvmModel>(
+            std::make_shared<xbar::FaultModel>(fast, fo))}) {
+    std::uint64_t before = fused_slots.value();
+    TiledMatrix unfused(c.w, std::make_shared<UnfusedModel>(model),
+                        HwConfig{});
+    EXPECT_EQ(fused_slots.value(), before) << model->name();
+    TiledMatrix fused(c.w, model, HwConfig{});
+    EXPECT_EQ(fused_slots.value() - before,
+              static_cast<std::uint64_t>(fused.programmed_tiles()))
+        << model->name() << ": every fast-noise tile has a fused kernel";
+
+    before = fused_runs.value();
+    const Tensor ref = unfused.matmul(c.x, 0.0f);
+    EXPECT_EQ(fused_runs.value(), before) << model->name();
+    const Tensor out = fused.matmul(c.x, 0.0f);
+    EXPECT_GT(fused_runs.value(), before)
+        << model->name() << ": fused path did not engage";
+    for (std::int64_t i = 0; i < out.numel(); ++i)
+      EXPECT_EQ(out[i], ref[i]) << model->name() << " i=" << i;
+  }
+}
+
+/// Same geometry as test_cfg(), different R_ON: the ADC shift factors
+/// differ (dot_unit scales with the conductance range).
+xbar::CrossbarConfig test_cfg_300k() {
+  xbar::CrossbarConfig cfg = xbar::xbar_64x64_300k();
+  cfg.rows = cfg.cols = 16;
+  cfg.name = "16x16_300k_test";
+  return cfg;
+}
+
+TEST(Tiled, SameGeometryConfigsIdenticalInEitherBuildOrder) {
+  // Regression: execution plans once round-tripped their ADC shifts
+  // through a cache keyed without R_ON, so whichever config was built
+  // second adopted the first one's shifts. Every output must depend on
+  // its own config only, whatever was built before it.
+  const GemmCase c = gemm_case(75);
+  using ModelPair = std::pair<std::shared_ptr<const xbar::MvmModel>,
+                              std::shared_ptr<const xbar::MvmModel>>;
+  const xbar::CrossbarConfig cfg100 = test_cfg(), cfg300 = test_cfg_300k();
+  const std::vector<std::pair<std::string, ModelPair>> families = {
+      {"fast_noise",
+       {std::make_shared<xbar::FastNoiseModel>(cfg100),
+        std::make_shared<xbar::FastNoiseModel>(cfg300)}},
+      {"geniex",
+       {std::make_shared<xbar::GeniexModel>(cfg100, fit_for(cfg100).mlp),
+        std::make_shared<xbar::GeniexModel>(cfg300, fit_for(cfg300).mlp)}},
+  };
+  for (const auto& [tag, models] : families) {
+    const auto& [m100, m300] = models;
+    auto run = [&](const std::shared_ptr<const xbar::MvmModel>& model) {
+      return TiledMatrix(c.w, model, HwConfig{}).matmul(c.x, 0.0f);
+    };
+    const Tensor a100 = run(m100);
+    const Tensor a300 = run(m300);
+    const Tensor b300 = run(m300);
+    const Tensor b100 = run(m100);
+    EXPECT_GT(max_abs_diff(a100, a300), 0.0f)
+        << tag << ": the two configs must give different outputs";
+    for (std::int64_t i = 0; i < a100.numel(); ++i) {
+      ASSERT_EQ(a100[i], b100[i]) << tag << " 100k i=" << i;
+      ASSERT_EQ(a300[i], b300[i]) << tag << " 300k i=" << i;
+    }
+  }
 }
 
 }  // namespace
