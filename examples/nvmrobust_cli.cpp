@@ -469,9 +469,9 @@ int cmd_quickstart(const std::map<std::string, std::string>& flags) {
   for (int s = 0; s < n_solves; ++s) {
     Tensor g = xbar::sample_conductances(cfg, rng);
     Tensor v = xbar::sample_voltages(cfg, rng);
-    int sweeps = 0;
-    (void)xbar::solve_crossbar(cfg, sopt, g, v, &sweeps);
-    sweeps_total += sweeps;
+    xbar::SolveStats stats;
+    (void)xbar::solve_crossbar(cfg, sopt, g, v, &stats);
+    sweeps_total += stats.sweeps_used;
   }
   const double mean_sweeps = sweeps_total / n_solves;
 

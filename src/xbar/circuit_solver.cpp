@@ -656,14 +656,6 @@ std::unique_ptr<ProgrammedXbar> CircuitSolverModel::program(
 }
 
 Tensor solve_crossbar(const CrossbarConfig& cfg, const SolverOptions& opt,
-                      const Tensor& g, const Tensor& v, int* sweeps_used) {
-  SolveStats stats;
-  Tensor out = solve_crossbar(cfg, opt, g, v, &stats);
-  if (sweeps_used != nullptr) *sweeps_used = stats.sweeps_used;
-  return out;
-}
-
-Tensor solve_crossbar(const CrossbarConfig& cfg, const SolverOptions& opt,
                       const Tensor& g, const Tensor& v, SolveStats* stats) {
   validate_conductances(g, cfg);
   const std::vector<double> gd(g.data().begin(), g.data().end());

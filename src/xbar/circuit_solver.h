@@ -107,13 +107,9 @@ class CircuitSolverModel final : public MvmModel {
 };
 
 /// One-shot solve (programs then evaluates); returns column currents and,
-/// via out parameter, the number of sweeps used (for convergence tests).
+/// via out parameter, the full outcome report (sweeps used, convergence).
 Tensor solve_crossbar(const CrossbarConfig& cfg, const SolverOptions& opt,
                       const Tensor& g, const Tensor& v,
-                      int* sweeps_used = nullptr);
-
-/// One-shot solve with the full outcome report.
-Tensor solve_crossbar(const CrossbarConfig& cfg, const SolverOptions& opt,
-                      const Tensor& g, const Tensor& v, SolveStats* stats);
+                      SolveStats* stats = nullptr);
 
 }  // namespace nvm::xbar

@@ -366,12 +366,12 @@ TEST(Trace, SolverBumpsSolveAndSweepCounters) {
   Tensor v = xbar::sample_voltages(cfg, rng);
   const std::uint64_t solves0 = metrics::counter("solver/solves").value();
   const std::uint64_t sweeps0 = metrics::counter("solver/sweeps").value();
-  int sweeps = 0;
-  (void)xbar::solve_crossbar(cfg, xbar::SolverOptions{}, g, v, &sweeps);
+  xbar::SolveStats stats;
+  (void)xbar::solve_crossbar(cfg, xbar::SolverOptions{}, g, v, &stats);
   EXPECT_EQ(metrics::counter("solver/solves").value(), solves0 + 1);
   EXPECT_EQ(metrics::counter("solver/sweeps").value(),
-            sweeps0 + static_cast<std::uint64_t>(sweeps));
-  EXPECT_GT(sweeps, 0);
+            sweeps0 + static_cast<std::uint64_t>(stats.sweeps_used));
+  EXPECT_GT(stats.sweeps_used, 0);
 }
 
 // ---------------------------------------------------------------------------

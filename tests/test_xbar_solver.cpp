@@ -169,11 +169,11 @@ TEST(Solver, ConvergesWellUnderSweepLimit) {
   Rng rng(7);
   Tensor g = sample_conductances(cfg, rng);
   Tensor v = sample_voltages(cfg, rng);
-  int sweeps = 0;
+  SolveStats stats;
   SolverOptions opt;
-  (void)solve_crossbar(cfg, opt, g, v, &sweeps);
-  EXPECT_LT(sweeps, 40);
-  EXPECT_GE(sweeps, 2);
+  (void)solve_crossbar(cfg, opt, g, v, &stats);
+  EXPECT_LT(stats.sweeps_used, 40);
+  EXPECT_GE(stats.sweeps_used, 2);
 }
 
 TEST(Solver, ExhaustedSweepBudgetIsReportedNotSwallowed) {
@@ -299,19 +299,6 @@ TEST(Solver, NormalSolveReportsCleanStats) {
   EXPECT_TRUE(stats.ok());
   EXPECT_GE(stats.sweeps_used, 2);
   EXPECT_EQ(health_value(HealthCounter::SolverNonConverged), before);
-}
-
-TEST(Solver, LegacySweepCountOverloadAgreesWithStats) {
-  CrossbarConfig cfg = tiny_config(5);
-  Rng rng(14);
-  Tensor g = sample_conductances(cfg, rng);
-  Tensor v = sample_voltages(cfg, rng);
-  int sweeps = 0;
-  Tensor a = solve_crossbar(cfg, {}, g, v, &sweeps);
-  SolveStats stats;
-  Tensor b = solve_crossbar(cfg, {}, g, v, &stats);
-  EXPECT_EQ(sweeps, stats.sweeps_used);
-  EXPECT_EQ(max_abs_diff(a, b), 0.0f);
 }
 
 TEST(Solver, ZeroInputGivesZeroOutput) {
