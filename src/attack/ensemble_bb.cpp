@@ -53,17 +53,19 @@ void train_distilled(nn::Network& net, std::span<const Tensor> images,
   }
 }
 
-std::string options_tag(const EnsembleBbOptions& opt, std::size_t n_images,
-                        std::int64_t num_classes) {
+}  // namespace
+
+std::string surrogate_cache_tag(const EnsembleBbOptions& opt,
+                                std::size_t n_images,
+                                std::int64_t num_classes) {
   std::ostringstream os;
   os << "bb_n" << n_images << "_c" << num_classes << "_e" << opt.epochs
      << "_lr" << opt.lr << "_seed" << opt.seed << "_d";
   for (auto d : opt.depths) os << d << ".";
-  os << "_w" << opt.widths[0] << "-" << opt.widths[1] << "-" << opt.widths[2];
+  os << "_w" << opt.widths[0] << "-" << opt.widths[1] << "-" << opt.widths[2]
+     << "_b" << opt.batch << "_m" << opt.momentum;
   return os.str();
 }
-
-}  // namespace
 
 SurrogateEnsemble SurrogateEnsemble::distill(const QueryFn& victim,
                                              std::span<const Tensor> images,
@@ -84,7 +86,8 @@ SurrogateEnsemble SurrogateEnsemble::distill(const QueryFn& victim,
         nn::make_resnet_cifar(spec, init_rng)));
   }
 
-  const std::string tag = options_tag(opt, images.size(), num_classes);
+  const std::string tag =
+      surrogate_cache_tag(opt, images.size(), num_classes);
   if (!cache_key.empty()) {
     bool loaded = cache_load(
         "surrogates_" + cache_key + ".bin", tag, [&](BinaryReader& r) {

@@ -35,6 +35,13 @@ struct EnsembleBbOptions {
   std::uint64_t seed = 21;
 };
 
+/// File-cache tag of a distilled ensemble: every option, the query count
+/// and the class count. The victim and the query images are identified
+/// only by the caller's cache key.
+std::string surrogate_cache_tag(const EnsembleBbOptions& opt,
+                                std::size_t n_images,
+                                std::int64_t num_classes);
+
 /// Trained surrogate set; owns the member networks.
 class SurrogateEnsemble {
  public:

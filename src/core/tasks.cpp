@@ -138,25 +138,36 @@ std::span<const std::int64_t> PreparedTask::eval_labels(
   return {dataset.test_labels.data(), n};
 }
 
+std::string model_cache_tag(const Task& task, const std::string& arch) {
+  // Not keyed: data_spec.name (the generator does not read it),
+  // data_spec.test_count (the held-out split, never trained on) and
+  // train_config.verbose (logging only).
+  const data::DatasetSpec& d = task.data_spec;
+  const nn::TrainConfig& t = task.train_config;
+  std::ostringstream tag;
+  tag << arch << "_n" << d.train_count << "_s" << d.seed << "_e" << t.epochs
+      << "_lr" << t.sgd.lr << "_noise" << d.noise << "_c" << d.classes
+      << "_px" << d.image_size << "_b" << t.batch_size << "_m"
+      << t.sgd.momentum << "_wd" << t.sgd.weight_decay << "_dk"
+      << t.lr_decay << "_bf" << t.bn_freeze_frac << "_ts" << t.seed;
+  return tag.str();
+}
+
 PreparedTask prepare(const Task& task) {
   trace::Span watch("core/prepare");
   data::Dataset ds = make_synth_vision(task.data_spec);
   Rng init_rng(task.train_config.seed);
   nn::Network net = task.make_network(init_rng);
 
-  std::ostringstream tag;
-  tag << net.arch() << "_n" << task.data_spec.train_count << "_s"
-      << task.data_spec.seed << "_e" << task.train_config.epochs << "_lr"
-      << task.train_config.sgd.lr << "_noise" << task.data_spec.noise;
-
+  const std::string tag = model_cache_tag(task, net.arch());
   const std::string file = "model_" + task.name + ".bin";
-  bool loaded = cache_load(file, tag.str(),
+  bool loaded = cache_load(file, tag,
                            [&](BinaryReader& r) { net.load(r); });
   if (!loaded) {
     NVM_LOG(Info) << "training " << task.name << " (" << net.arch() << ", "
                   << net.param_count() << " params)";
     nn::train(net, ds.train_images, ds.train_labels, task.train_config);
-    cache_store(file, tag.str(), [&](BinaryWriter& w) { net.save(w); });
+    cache_store(file, tag, [&](BinaryWriter& w) { net.save(w); });
     metrics::gauge("core/train_seconds").set(watch.seconds());
     NVM_LOG(Info) << task.name << " trained in " << watch.seconds() << "s";
   }

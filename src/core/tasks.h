@@ -70,6 +70,11 @@ struct PreparedTask {
   std::span<const std::int64_t> eval_labels(std::int64_t count) const;
 };
 
+/// File-cache tag of `task`'s trained network (the file name carries
+/// task.name): the architecture string and every data and training field
+/// that changes the trained weights.
+std::string model_cache_tag(const Task& task, const std::string& arch);
+
 /// Generates the dataset and trains (or cache-loads) the target network.
 PreparedTask prepare(const Task& task);
 

@@ -552,22 +552,35 @@ GeniexFit GeniexModel::fit(const CrossbarConfig& cfg,
   return GeniexFit{std::move(mlp), train_mse, val_mse};
 }
 
-GeniexModel GeniexModel::load_or_train(const CrossbarConfig& cfg,
-                                       const GeniexTrainOptions& opt) {
+std::string geniex_cache_tag(const CrossbarConfig& cfg,
+                             const GeniexTrainOptions& opt) {
+  // The fit runs cold solves only, so solver.warm_start_streams never
+  // reaches it, and solver.ordering is bit-identical; neither is keyed.
   // "ps1" marks the per-sample split-stream sampling scheme; bumping it
   // invalidates caches fitted from the old sequential-draw scheme.
+  const SolverOptions& so = opt.solver;
   std::ostringstream tag;
   tag << cfg.tag() << "_s" << opt.solver_samples << "_h" << opt.hidden
-      << "_e" << opt.mlp.epochs << "_seed" << opt.seed << "_ps1";
+      << "_e" << opt.mlp.epochs << "_seed" << opt.seed << "_b"
+      << opt.mlp.batch << "_lr" << opt.mlp.lr << "_ms" << opt.mlp.seed
+      << "_tol" << so.tol << "_sw" << so.max_sweeps << "_cs"
+      << so.coarse_start << "_rx" << so.relaxation << "_rt"
+      << so.retry_on_nonconvergence << "_ps1";
+  return tag.str();
+}
+
+GeniexModel GeniexModel::load_or_train(const CrossbarConfig& cfg,
+                                       const GeniexTrainOptions& opt) {
+  const std::string tag = geniex_cache_tag(cfg, opt);
   const std::string file = "geniex_" + cfg.name + ".bin";
 
   std::optional<MlpRegressor> mlp;
-  cache_load(file, tag.str(),
+  cache_load(file, tag,
              [&](BinaryReader& r) { mlp = MlpRegressor::load(r); });
   if (!mlp.has_value()) {
     GeniexFit fitted = fit(cfg, opt);
     mlp = std::move(fitted.mlp);
-    cache_store(file, tag.str(), [&](BinaryWriter& w) { mlp->save(w); });
+    cache_store(file, tag, [&](BinaryWriter& w) { mlp->save(w); });
   }
   return GeniexModel(cfg, std::move(*mlp));
 }

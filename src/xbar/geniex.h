@@ -95,6 +95,12 @@ class GeniexModel final : public MvmModel {
   std::shared_ptr<const GeniexFoldedMlp> folded_;  ///< derived from mlp_
 };
 
+/// File-cache tag of a surrogate fit for `cfg` (the file name carries
+/// cfg.name): every CrossbarConfig field and every training option that
+/// changes the fitted weights.
+std::string geniex_cache_tag(const CrossbarConfig& cfg,
+                             const GeniexTrainOptions& opt);
+
 /// Assembles the per-column feature matrix (cols x kGeniexFeatureCount)
 /// for one (G, V) pair. Exposed for training and tests.
 Tensor geniex_features(const CrossbarConfig& cfg, const Tensor& g,

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
+#include "core/tasks.h"
 
+#include "attack/ensemble_bb.h"
 #include "attack/pgd.h"
 #include "attack/square.h"
 #include "nn/loss.h"
@@ -14,6 +20,7 @@
 #include "puma/cost_model.h"
 #include "puma/tiled_mvm.h"
 #include "tensor/ops.h"
+#include "xbar/geniex.h"
 
 namespace nvm {
 namespace {
@@ -235,6 +242,143 @@ TEST(SoftmaxProperty, ShiftInvariance) {
 TEST(RngProperty, UniformIndexOfOneIsZero) {
   Rng rng(11);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.uniform_index(1), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// File-cache tags cover every input of the cached value
+// ---------------------------------------------------------------------------
+
+/// Applies each named perturbation to a copy of `base` and expects the
+/// tag to move.
+template <typename T, typename TagFn>
+void expect_every_field_keyed(
+    const T& base, const TagFn& tag,
+    const std::vector<std::pair<const char*, std::function<void(T&)>>>&
+        perturbations) {
+  const std::string base_tag = tag(base);
+  for (const auto& [field, perturb] : perturbations) {
+    T changed = base;
+    perturb(changed);
+    EXPECT_NE(tag(changed), base_tag) << field << " is not in the tag";
+  }
+}
+
+TEST(CacheKey, GeniexTagCoversConfigAndTrainOptions) {
+  // Left out on purpose: cfg.name (the file name geniex_<name>.bin carries
+  // it), solver.warm_start_streams (the fit runs cold solves only) and
+  // solver.ordering (red-black and lexicographic are bit-identical).
+  struct Inputs {
+    xbar::CrossbarConfig cfg = xbar::xbar_64x64_100k();
+    xbar::GeniexTrainOptions opt;
+  };
+  using P = std::function<void(Inputs&)>;
+  expect_every_field_keyed<Inputs>(
+      Inputs{},
+      [](const Inputs& in) { return xbar::geniex_cache_tag(in.cfg, in.opt); },
+      {
+          {"cfg.rows", P([](Inputs& in) { in.cfg.rows = 32; })},
+          {"cfg.cols", P([](Inputs& in) { in.cfg.cols = 32; })},
+          {"cfg.r_on", P([](Inputs& in) { in.cfg.r_on *= 3; })},
+          {"cfg.on_off_ratio", P([](Inputs& in) { in.cfg.on_off_ratio += 5; })},
+          {"cfg.levels", P([](Inputs& in) { in.cfg.levels = 8; })},
+          {"cfg.r_source", P([](Inputs& in) { in.cfg.r_source += 50; })},
+          {"cfg.r_sink", P([](Inputs& in) { in.cfg.r_sink += 50; })},
+          {"cfg.r_wire", P([](Inputs& in) { in.cfg.r_wire *= 2; })},
+          {"cfg.v_read", P([](Inputs& in) { in.cfg.v_read *= 2; })},
+          {"cfg.device_nonlin",
+           P([](Inputs& in) { in.cfg.device_nonlin += 1; })},
+          {"opt.solver_samples",
+           P([](Inputs& in) { in.opt.solver_samples += 1; })},
+          {"opt.hidden", P([](Inputs& in) { in.opt.hidden += 1; })},
+          {"opt.seed", P([](Inputs& in) { in.opt.seed += 1; })},
+          {"opt.mlp.epochs", P([](Inputs& in) { in.opt.mlp.epochs += 1; })},
+          {"opt.mlp.batch", P([](Inputs& in) { in.opt.mlp.batch += 1; })},
+          {"opt.mlp.lr", P([](Inputs& in) { in.opt.mlp.lr *= 2; })},
+          {"opt.mlp.seed", P([](Inputs& in) { in.opt.mlp.seed += 1; })},
+          {"opt.solver.tol", P([](Inputs& in) { in.opt.solver.tol *= 10; })},
+          {"opt.solver.max_sweeps",
+           P([](Inputs& in) { in.opt.solver.max_sweeps += 1; })},
+          {"opt.solver.coarse_start",
+           P([](Inputs& in) {
+             in.opt.solver.coarse_start = !in.opt.solver.coarse_start;
+           })},
+          {"opt.solver.relaxation",
+           P([](Inputs& in) { in.opt.solver.relaxation = 0.5; })},
+          {"opt.solver.retry_on_nonconvergence",
+           P([](Inputs& in) {
+             in.opt.solver.retry_on_nonconvergence =
+                 !in.opt.solver.retry_on_nonconvergence;
+           })},
+      });
+}
+
+TEST(CacheKey, ModelTagCoversDataAndTraining) {
+  // Left out on purpose: task.name (the file name model_<name>.bin carries
+  // it), data_spec.name (the generator does not read it),
+  // data_spec.test_count (the held-out split, never trained on),
+  // train_config.verbose (logging only) and the attack-side fields
+  // (attack/adaptive eval counts, eps_scale), which never reach training.
+  // The architecture arrives as the network's arch() string.
+  using P = std::function<void(core::Task&)>;
+  expect_every_field_keyed<core::Task>(
+      core::task_scifar10(),
+      [](const core::Task& t) { return core::model_cache_tag(t, "resnet20"); },
+      {
+          {"data_spec.classes",
+           P([](core::Task& t) { t.data_spec.classes += 1; })},
+          {"data_spec.image_size",
+           P([](core::Task& t) { t.data_spec.image_size += 4; })},
+          {"data_spec.train_count",
+           P([](core::Task& t) { t.data_spec.train_count += 1; })},
+          {"data_spec.seed", P([](core::Task& t) { t.data_spec.seed += 1; })},
+          {"data_spec.noise", P([](core::Task& t) { t.data_spec.noise *= 2; })},
+          {"train_config.epochs",
+           P([](core::Task& t) { t.train_config.epochs += 1; })},
+          {"train_config.batch_size",
+           P([](core::Task& t) { t.train_config.batch_size += 1; })},
+          {"train_config.sgd.lr",
+           P([](core::Task& t) { t.train_config.sgd.lr *= 2; })},
+          {"train_config.sgd.momentum",
+           P([](core::Task& t) { t.train_config.sgd.momentum = 0.5f; })},
+          {"train_config.sgd.weight_decay",
+           P([](core::Task& t) { t.train_config.sgd.weight_decay *= 2; })},
+          {"train_config.lr_decay",
+           P([](core::Task& t) { t.train_config.lr_decay *= 2; })},
+          {"train_config.bn_freeze_frac",
+           P([](core::Task& t) { t.train_config.bn_freeze_frac = 1.0f; })},
+          {"train_config.seed",
+           P([](core::Task& t) { t.train_config.seed += 1; })},
+      });
+  const core::Task t = core::task_scifar10();
+  EXPECT_NE(core::model_cache_tag(t, "resnet20"),
+            core::model_cache_tag(t, "resnet32"));
+}
+
+TEST(CacheKey, SurrogateTagCoversEveryOption) {
+  // The victim and the query images are named by the caller's cache key;
+  // the tag covers the options and the query and class counts.
+  struct Inputs {
+    attack::EnsembleBbOptions opt;
+    std::size_t n_images = 64;
+    std::int64_t classes = 10;
+  };
+  using P = std::function<void(Inputs&)>;
+  expect_every_field_keyed<Inputs>(
+      Inputs{},
+      [](const Inputs& in) {
+        return attack::surrogate_cache_tag(in.opt, in.n_images, in.classes);
+      },
+      {
+          {"n_images", P([](Inputs& in) { in.n_images += 1; })},
+          {"num_classes", P([](Inputs& in) { in.classes += 1; })},
+          {"opt.depths", P([](Inputs& in) { in.opt.depths.push_back(4); })},
+          {"opt.widths", P([](Inputs& in) { in.opt.widths[1] += 1; })},
+          {"opt.epochs", P([](Inputs& in) { in.opt.epochs += 1; })},
+          {"opt.batch", P([](Inputs& in) { in.opt.batch += 1; })},
+          {"opt.lr", P([](Inputs& in) { in.opt.lr *= 2; })},
+          {"opt.momentum", P([](Inputs& in) { in.opt.momentum = 0.5f; })},
+          {"opt.seed", P([](Inputs& in) { in.opt.seed += 1; })},
+      });
 }
 
 }  // namespace
