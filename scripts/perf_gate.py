@@ -63,7 +63,7 @@ SPECS = [
     ("BENCH_mvm_perf.json", "metrics", "bench/gemm/stage3_us", "lower", 0.50),
     ("BENCH_mvm_perf.json", "metrics",
      "bench/attack/input_grad_us", "lower", 0.50),
-    # Fused execution plans: the plan path must beat the interpreter by
+    # Fused tile slots: fused slots must beat unfused ones by
     # >= 1.2x on the batched fast-noise matmul — a structural floor, not a
     # baseline comparison, so a landed fusion can never silently regress
     # into a slowdown.

@@ -236,11 +236,11 @@ class Workspace {
   std::vector<std::int32_t> i32_[kSlots];
 };
 
-/// Thread-safe pool of Workspaces for planned execution. Where the
+/// Thread-safe pool of Workspaces. Where the
 /// thread_local idiom pins one workspace per (thread, call site) forever,
 /// a pool bounds scratch to the number of CONCURRENT users and lets
-/// warmed buffers migrate between call sites (an execution-plan task and
-/// the GENIEx MLP forward reuse the same allocations). acquire() hands
+/// warmed buffers migrate between call sites (a tiled-matmul slot task
+/// and the GENIEx MLP forward reuse the same allocations). acquire() hands
 /// out a warm workspace when one is free and grows the pool otherwise;
 /// the lease returns it on destruction.
 class WorkspacePool {
@@ -272,7 +272,7 @@ class WorkspacePool {
   std::vector<std::unique_ptr<Workspace>> free_;
 };
 
-/// Process-wide pool shared by the puma execution plans and the blocked
+/// Process-wide pool shared by the puma tiled matmul and the blocked
 /// model forwards (MlpRegressor::predict_block).
 WorkspacePool& shared_workspace_pool();
 

@@ -53,6 +53,11 @@ TiledMatrix::TiledMatrix(const Tensor& w,
   const auto& cfg = model_->config();
   NVM_CHECK((std::int64_t{1} << hw_.slice_bits) <= cfg.levels,
             "slice bits exceed device levels");
+  // The DAC and weight chunks travel as int8 codes and the activation
+  // codes as int16 (DESIGN.md §13).
+  NVM_CHECK(hw_.slice_bits <= 7 && hw_.stream_bits <= 7,
+            "slice and stream bits must fit int8 codes");
+  NVM_CHECK(hw_.input_bits <= 15, "input bits must fit int16 codes");
   m_ = w.dim(0);
   k_ = w.dim(1);
   row_tiles_ = (k_ + cfg.rows - 1) / cfg.rows;
@@ -66,12 +71,6 @@ TiledMatrix::TiledMatrix(const Tensor& w,
   const float g_unit = static_cast<float>(
       (cfg.g_on() - cfg.g_off()) /
       static_cast<double>((std::int64_t{1} << hw_.slice_bits) - 1));
-
-  // The DAC and weight chunks travel as int8 codes and the activation
-  // codes as int16 (DESIGN.md §13).
-  NVM_CHECK(hw_.slice_bits <= 7 && hw_.stream_bits <= 7,
-            "slice and stream bits must fit int8 codes");
-  NVM_CHECK(hw_.input_bits <= 15, "input bits must fit int16 codes");
 
   // Every tile slot (row tile, col tile, polarity, slice) is programmed
   // as its own task: MvmModel::program() is safe to call concurrently, and

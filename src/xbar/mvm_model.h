@@ -122,8 +122,8 @@ class ProgrammedXbar {
                                    std::int64_t cols_used);
 
   /// Compiles a fused, input-independent kernel for mvm_chunks_active
-  /// with DAC step `v_unit` and codes in [0, max_code] (the execution-plan
-  /// layer calls this once per tile at plan build). Returns nullptr when
+  /// with DAC step `v_unit` and codes in [0, max_code] (puma::TiledMatrix
+  /// calls this once per programmed tile slot). Returns nullptr when
   /// the model has no profitable fused form (the default) — callers fall
   /// back to the stream path. Non-null kernels are bit-identical to
   /// mvm_chunks_active by the FusedChunkKernel contract.
