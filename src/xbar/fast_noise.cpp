@@ -18,7 +18,7 @@ namespace {
 /// BOTH sinhc branches, plus the per-cell branch cutoff — is hoisted to
 /// compile time, leaving only the code gather per sample at run time.
 ///
-/// Two tables per cell are required for bit identity: the interpreter
+/// Two tables per cell are required for bit identity: mvm_chunks_active
 /// picks its branch per call from the row's max code (vmax = double(
 /// v_unit * float(cmax)) with its own rounding), and near the 1.2
 /// threshold the poly and exact forms differ in the last ULPs, so the
@@ -27,7 +27,7 @@ namespace {
 /// fails first at a well-defined cutoff code per cell; at run time the
 /// row's cmax is compared against it. Table entries themselves are
 /// cmax-independent (each is a function of the code alone), and both
-/// builders below run the interpreter's exact op sequence.
+/// builders below run mvm_chunks_active's exact op sequence.
 class FastNoiseFusedKernel final : public FusedChunkKernel {
  public:
   FastNoiseFusedKernel(const CrossbarConfig& cfg, const Tensor& g,
@@ -48,7 +48,7 @@ class FastNoiseFusedKernel final : public FusedChunkKernel {
             1.0 / (1.0 + r_row_base * growsum[static_cast<std::size_t>(i)]);
         const double gij = pgf[i * cols_ + j];
         const double s = atten * catten;
-        // Smallest cmax whose row fails the interpreter's poly condition;
+        // Smallest cmax whose row fails mvm_chunks_active's poly condition;
         // rows with cmax below it take the polynomial branch.
         int cut = max_code + 1;
         for (int c = 1; c <= max_code; ++c) {
@@ -172,7 +172,7 @@ class FastNoiseProgrammed final : public ProgrammedXbar {
   std::unique_ptr<FusedChunkKernel> compile_chunk_kernel(
       float v_unit, int max_code) const override {
     // The table layout holds 2*(max_code+1) doubles per cell; stay within
-    // the interpreter's 7-bit code assumption and a sane footprint
+    // the 7-bit DAC code limit and a sane footprint
     // (8 MiB/kernel covers 256x256 tiles at stream_bits <= 5).
     if (max_code < 1 || max_code + 1 > 32) return nullptr;
     const std::int64_t doubles =
